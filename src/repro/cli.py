@@ -861,11 +861,9 @@ def _cmd_serve(args):
             socket_path = free_socket_path()
 
     def ready(server):
-        where = server.socket_path or "%s:%d" % (server.host,
-                                                 server.bound_port)
         print("serving on %s (workers=%d, queue depth %d)"
-              % (where, workers, args.queue_depth), file=sys.stderr,
-              flush=True)
+              % (server.address, workers, args.queue_depth),
+              file=sys.stderr, flush=True)
 
     asyncio.run(serve_daemon(
         socket_path=socket_path, host=host, port=args.port, ready=ready,
@@ -930,10 +928,8 @@ def _cmd_route(args):
                 supervisor = ShardSupervisor(manager).start()
 
         def ready(server):
-            where = server.socket_path or "%s:%d" % (server.host,
-                                                     server.bound_port)
             print("routing on %s across %d shard(s)%s"
-                  % (where, len(specs),
+                  % (server.address, len(specs),
                      " [supervised]" if supervisor else ""),
                   file=sys.stderr, flush=True)
 

@@ -75,8 +75,8 @@ def _policy(config):
 _PROGRAM_CACHE = {}
 
 #: Process-wide count of actual interpreter assemblies (cache misses).
-#: The batch executor (:mod:`repro.bench.batch`) asserts each
-#: ``(engine, config)`` pair assembles exactly once per process.
+#: Tests assert each ``(engine, config)`` pair assembles at most once
+#: per process; the benchmark tracer reads it as the assembly count.
 assembly_count = 0
 
 

@@ -14,7 +14,8 @@ a ``busy`` + ``retry_after`` rejection; SIGTERM drains in-flight work
 before exit.
 
 * :mod:`repro.serve.server` — the asyncio daemon
-  (:class:`ExecutionService` + :class:`ExecutionServer`),
+  (:class:`ExecutionService`) and the one NDJSON socket front
+  (:class:`ExecutionServer`) that both it and the router sit behind,
 * :mod:`repro.serve.client` — a small blocking client
   (:class:`ServeClient`), used by ``repro submit``,
 * :mod:`repro.serve.protocol` — the wire format,
@@ -46,7 +47,7 @@ from repro.serve.server import (
 
 __all__ = ["ExecutionService", "ExecutionServer", "ServeClient",
            "ServeError", "ServeBusy", "ServeShed", "HashRing", "Router",
-           "RouterServer", "ShardManager", "ShardSpec",
+           "ShardManager", "ShardSpec",
            "ShardSupervisor", "supervised", "ChaosSpec", "run_chaos",
            "default_socket_path", "free_socket_path", "serve", "route"]
 
@@ -55,8 +56,7 @@ def __getattr__(name):
     # Router, supervision and chaos machinery are imported lazily: the
     # daemon itself never needs them, and keeping them out of the hot
     # import path keeps forked shard workers lean.
-    if name in ("Router", "RouterServer", "ShardManager", "ShardSpec",
-                "route"):
+    if name in ("Router", "ShardManager", "ShardSpec", "route"):
         from repro.serve import router as _router
         return getattr(_router, name)
     if name in ("ShardSupervisor", "supervised"):

@@ -17,6 +17,7 @@ at zero until real work arrives.
 """
 
 import logging
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -37,6 +38,10 @@ def _shard_worker_init(warm_engines, warm_configs):
     root, worker-side writes would multiply the writers per cell from
     N to N x pool size for no benefit.
     """
+    # The fork copied the shard's asyncio SIGTERM handler, which only
+    # wakes the shard's event loop; restore the default so the
+    # terminate() in ``_kill_pool`` ends a hung worker.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _warm_worker(warm_engines, warm_configs)
     from repro.bench import cache as result_cache
     result_cache.disable()

@@ -63,7 +63,8 @@ from repro.schema import SCHEMA_VERSION, SchemaError
 from repro.serve import protocol
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.serve.hashring import DEFAULT_REPLICAS, HashRing
-from repro.serve.server import cache_tier_stats, free_socket_path
+from repro.serve.server import (cache_tier_stats, free_socket_path,
+                                probe_cache, run_server)
 
 _LOG = logging.getLogger("repro.serve.router")
 
@@ -335,29 +336,6 @@ class Router:
 
     # -- the shared cache tier ---------------------------------------------
 
-    def _probe_cache(self, request):
-        """Router-side probe of the shared content-addressed cache —
-        a ``bench`` cell computed by *any* shard is a hit here."""
-        if not self.probe_cache or request.op != "bench" \
-                or not request.use_cache:
-            return None
-        from repro.bench import runner
-        try:
-            scale = runner.resolve_scale(request.benchmark, request.scale)
-        except KeyError:
-            return None
-        record = runner.cached_record(request.engine, request.benchmark,
-                                      request.config, scale)
-        if record is None:
-            return None
-        return api.ExecutionResult(
-            op="bench", engine=request.engine,
-            benchmark=request.benchmark, config=request.config,
-            scale=record.scale, output=record.output,
-            counters=record.counters, cached=True,
-            wall_seconds=record.wall_seconds,
-            simulated_mips=record.simulated_mips)
-
     def cache_tier(self):
         """Coherence summary of the shared cache tier: the router and
         every shard must agree on (root, tree) for a hit anywhere to
@@ -433,7 +411,7 @@ class Router:
         if shed is not None:
             return shed
 
-        cached = self._probe_cache(request)
+        cached = probe_cache(request) if self.probe_cache else None
         if cached is not None:
             self.counters["router_cache_hits"] += 1
             return ("result", cached.as_dict())
@@ -537,6 +515,53 @@ class Router:
                                    backoff=self.backoff)
             return result.as_dict()
 
+    async def submit(self, request_id, payload, send):
+        """Forward one submit frame's request and stream the reply:
+        relayed shard events, then exactly one terminal frame, each
+        through the ``send`` coroutine."""
+        if self.draining:
+            self.counters["drain_rejected"] += 1
+            await send(protocol.error_frame(
+                request_id, protocol.ERR_DRAINING,
+                "router is draining; resubmit elsewhere"))
+            return
+
+        self.inflight += 1
+        events = asyncio.Queue()
+        forward = asyncio.ensure_future(
+            self.forward(payload, events.put_nowait))
+        try:
+            while True:
+                getter = asyncio.ensure_future(events.get())
+                done, _pending = await asyncio.wait(
+                    {getter, forward},
+                    return_when=asyncio.FIRST_COMPLETED)
+                if getter in done:
+                    await send(_relayed(request_id, getter.result()))
+                    continue
+                getter.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await getter
+                while not events.empty():
+                    await send(_relayed(request_id, events.get_nowait()))
+                outcome = forward.result()
+                if outcome[0] == "result":
+                    await send(protocol.result_frame(request_id,
+                                                     outcome[1]))
+                else:
+                    _kind, code, message, extra = outcome
+                    await send(protocol.error_frame(
+                        request_id, code, message, **extra))
+                return
+        finally:
+            if not forward.done():
+                forward.cancel()
+                with contextlib.suppress(asyncio.CancelledError,
+                                         Exception):
+                    await forward
+            self.inflight -= 1
+            self.maybe_finish_drain()
+
     # -- introspection -----------------------------------------------------
 
     def stats(self):
@@ -567,178 +592,11 @@ class Router:
         return stats
 
 
-class RouterServer:
-    """The router's socket front end — protocol-compatible with
-    :class:`repro.serve.server.ExecutionServer`."""
-
-    def __init__(self, router, *, socket_path=None, host=None, port=None):
-        if host is None and socket_path is None:
-            socket_path = free_socket_path("typedarch-route")
-        self.router = router
-        self.socket_path = socket_path
-        self.host = host
-        self.port = port
-        self.bound_port = None
-        self._server = None
-        self._connections = set()
-
-    async def start(self):
-        loop = asyncio.get_running_loop()
-        self.router.start(loop)
-        if self.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path,
-                limit=protocol.MAX_FRAME_BYTES)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host or "127.0.0.1",
-                port=self.port or 0, limit=protocol.MAX_FRAME_BYTES)
-            self.bound_port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    def install_signal_handlers(self):
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, ValueError):
-                loop.add_signal_handler(signum, self.router.begin_drain)
-
-    async def serve_until_stopped(self):
-        await self.router.stopped.wait()
-        await self.close()
-
-    async def close(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        for task in list(self._connections):
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        self._connections.clear()
-        await self.router.stop()
-        if self.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.socket_path)
-
-    # -- per-connection protocol -------------------------------------------
-
-    async def _send(self, writer, frame):
-        writer.write(protocol.encode(frame))
-        await writer.drain()
-
-    async def _handle_connection(self, reader, writer):
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    frame = protocol.decode(line)
-                except protocol.ProtocolError as err:
-                    await self._send(writer, protocol.error_frame(
-                        None, protocol.ERR_MALFORMED, str(err)))
-                    continue
-                await self._handle_frame(frame, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._connections.discard(task)
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    async def _handle_frame(self, frame, writer):
-        request_id = frame.get("id")
-        reason = protocol.version_mismatch(frame)
-        if reason is not None:
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_VERSION, reason))
-            return
-        kind = frame.get("kind")
-        if kind == "ping":
-            await self._send(writer, protocol.pong_frame(request_id))
-        elif kind == "status":
-            await self._send(writer, protocol.status_frame(
-                request_id, self.router.stats()))
-        elif kind == "drain":
-            self.router.begin_drain()
-            await self._send(writer, protocol.status_frame(
-                request_id, self.router.stats()))
-        elif kind == "submit":
-            await self._handle_submit(frame, writer)
-        else:
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_MALFORMED,
-                "unknown frame kind %r" % (kind,)))
-
-    async def _handle_submit(self, frame, writer):
-        request_id = frame.get("id")
-        payload = frame.get("request")
-        if not isinstance(payload, dict):
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_MALFORMED,
-                "submit frame has no request object"))
-            return
-        if self.router.draining:
-            self.router.counters["drain_rejected"] += 1
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_DRAINING,
-                "router is draining; resubmit elsewhere"))
-            return
-
-        self.router.inflight += 1
-        events = asyncio.Queue()
-        forward = asyncio.ensure_future(
-            self.router.forward(payload, events.put_nowait))
-        try:
-            while True:
-                getter = asyncio.ensure_future(events.get())
-                done, _pending = await asyncio.wait(
-                    {getter, forward},
-                    return_when=asyncio.FIRST_COMPLETED)
-                if getter in done:
-                    await self._relay_event(writer, request_id,
-                                            getter.result())
-                    continue
-                getter.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await getter
-                while not events.empty():
-                    await self._relay_event(writer, request_id,
-                                            events.get_nowait())
-                outcome = forward.result()
-                if outcome[0] == "result":
-                    await self._send(writer, protocol.result_frame(
-                        request_id, outcome[1]))
-                else:
-                    _kind, code, message, extra = outcome
-                    await self._send(writer, protocol.error_frame(
-                        request_id, code, message, **extra))
-                return
-        finally:
-            if not forward.done():
-                forward.cancel()
-                with contextlib.suppress(asyncio.CancelledError,
-                                         Exception):
-                    await forward
-            self.router.inflight -= 1
-            self.router.maybe_finish_drain()
-
-    async def _relay_event(self, writer, request_id, frame):
-        extra = {key: value for key, value in frame.items()
-                 if key not in ("kind", "id", "event", "version")}
-        await self._send(writer, protocol.event_frame(
-            request_id, frame.get("event"), **extra))
+def _relayed(request_id, frame):
+    """A shard event frame re-addressed to the client's request."""
+    extra = {key: value for key, value in frame.items()
+             if key not in ("kind", "id", "event", "version")}
+    return protocol.event_frame(request_id, frame.get("event"), **extra)
 
 
 class ShardManager:
@@ -746,7 +604,11 @@ class ShardManager:
 
     Every shard gets a collision-free unix socket under one
     ``mkdtemp`` directory and the same ``REPRO_CACHE_DIR`` (the shared
-    cache tier).  Used by ``repro route --shards N``, the loadgen
+    cache tier).  Each shard leads its own process group, so the pool
+    workers it forks go with it: a shard killed outright leaves its
+    workers blocked on their task pipe (they hold both ends, so they
+    never see EOF), and the manager reaps that group before a respawn
+    and at shutdown.  Used by ``repro route --shards N``, the loadgen
     smoke harness and the CI ``serve-load`` job.
     """
 
@@ -829,7 +691,15 @@ class ShardManager:
         self._logs[index] = log
         self.procs[index] = subprocess.Popen(
             self._argv(index), env=self._env, stdout=log,
-            stderr=subprocess.STDOUT)
+            stderr=subprocess.STDOUT, start_new_session=True)
+
+    def _reap_group(self, index):
+        """SIGKILL what is left of a *dead* shard's process group (the
+        workers it forked)."""
+        proc = self.procs[index]
+        if proc is not None and proc.poll() is not None:
+            with contextlib.suppress(OSError):
+                os.killpg(proc.pid, signal.SIGKILL)
 
     def alive(self):
         return [proc is not None and proc.poll() is None
@@ -841,6 +711,7 @@ class ShardManager:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        self._reap_group(index)
         self._close_log(index)
         with contextlib.suppress(OSError):
             os.unlink(self.specs[index].socket_path)
@@ -855,6 +726,7 @@ class ShardManager:
         if proc is not None and proc.poll() is None:
             raise RuntimeError("shard %d is still running" % index)
         spec = self.specs[index]
+        self._reap_group(index)
         self._close_log(index)
         with contextlib.suppress(OSError):
             os.unlink(spec.socket_path)
@@ -885,7 +757,7 @@ class ShardManager:
             except (ServeError, ConnectionError, OSError):
                 proc.terminate()
         codes = []
-        for proc in self.procs:
+        for index, proc in enumerate(self.procs):
             if proc is None:
                 codes.append(None)
                 continue
@@ -894,15 +766,17 @@ class ShardManager:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 codes.append(proc.wait())
+            self._reap_group(index)
         self._close_logs()
         return codes
 
     def stop(self):
         """Hard stop (error paths); prefer :meth:`drain`."""
-        for proc in self.procs:
+        for index, proc in enumerate(self.procs):
             if proc is not None and proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            self._reap_group(index)
         self._close_logs()
 
     def _close_log(self, index):
@@ -923,16 +797,13 @@ async def route(shards, *, socket_path=None, host=None, port=None,
     """Run the router until drained (the ``repro route`` body)."""
     router = Router(shards, **router_kwargs)
     router.supervisor = supervisor
-    server = RouterServer(router, socket_path=socket_path, host=host,
-                          port=port)
-    await server.start()
-    if signals:
-        server.install_signal_handlers()
-    if ready is not None:
-        ready(server)
-    _LOG.info("routing on %s across %d shard(s): %s",
-              server.socket_path or "%s:%s" % (server.host,
-                                               server.bound_port),
-              len(router.shards), ", ".join(router.shards))
-    await server.serve_until_stopped()
+    if host is None and socket_path is None:
+        socket_path = free_socket_path("typedarch-route")
+
+    def announce(where):
+        _LOG.info("routing on %s across %d shard(s): %s", where,
+                  len(router.shards), ", ".join(router.shards))
+
+    await run_server(router, announce, socket_path=socket_path,
+                     host=host, port=port, signals=signals, ready=ready)
     return router

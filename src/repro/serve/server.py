@@ -198,7 +198,64 @@ class ExecutionService:
         return round(max(0.1, backlog * self._avg_seconds()
                          / max(1, self.workers or 1)), 3)
 
-    def submit(self, payload):
+    async def submit(self, request_id, payload, send):
+        """Admit one submit frame's request and stream its reply: zero
+        or more event frames, then exactly one terminal frame, each
+        through the ``send`` coroutine."""
+        job, rejection, cached = self._admit(payload)
+        if rejection is not None:
+            code, message, extra = rejection
+            await send(protocol.error_frame(request_id, code, message,
+                                            **extra))
+            return
+        if cached is not None:
+            await send(protocol.result_frame(request_id, cached.as_dict()))
+            return
+
+        coalesced = job.started or bool(job.subscribers)
+        if coalesced:
+            self.stats_counters["coalesced"] += 1
+        queue = asyncio.Queue()
+        job.subscribers.append(queue)
+        await send(protocol.event_frame(
+            request_id, "queued", key=job.key, coalesced=coalesced,
+            priority=job.priority))
+        if job.completed:
+            # Completed between _admit() and subscription — impossible
+            # on one loop iteration, but cheap to guard.
+            self._replies_pending += 1
+            queue.put_nowait(job.final)
+        replied = False
+        try:
+            while True:
+                item = await queue.get()
+                if item[0] == "event":
+                    _kind, event, extra = item
+                    await send(protocol.event_frame(request_id, event,
+                                                    **extra))
+                    continue
+                if item[0] == "result":
+                    result = dict(item[1])
+                    if coalesced:
+                        result["coalesced"] = True
+                    await send(protocol.result_frame(request_id, result))
+                else:
+                    _kind, code, message = item
+                    await send(protocol.error_frame(request_id, code,
+                                                    message))
+                replied = True
+                self._reply_done()
+                return
+        finally:
+            if not job.completed:
+                with contextlib.suppress(ValueError):
+                    job.subscribers.remove(queue)
+            elif not replied and queue in job.subscribers:
+                # We were counted at completion but never delivered.
+                job.subscribers.remove(queue)
+                self._reply_done()
+
+    def _admit(self, payload):
         """Admit one request payload.
 
         Returns ``(job, error_frame_args, immediate_result)`` — exactly
@@ -217,7 +274,7 @@ class ExecutionService:
             return None, (protocol.ERR_INVALID, str(err), {}), None
         self.stats_counters["submitted"] += 1
 
-        cached = self._probe_cache(request)
+        cached = probe_cache(request)
         if cached is not None:
             self.stats_counters["cache_hits"] += 1
             return None, None, cached
@@ -241,29 +298,6 @@ class ExecutionService:
         self._queued += 1
         self._queue.put_nowait((job.priority, self._seq, job))
         return job, None, None
-
-    def _probe_cache(self, request):
-        """Parent-side persistent-cache probe for ``bench`` requests;
-        returns a cached :class:`ExecutionResult` or ``None`` — never
-        touches the worker pool."""
-        if request.op != "bench" or not request.use_cache:
-            return None
-        from repro.bench import runner
-        try:
-            scale = runner.resolve_scale(request.benchmark, request.scale)
-        except KeyError:
-            return None  # let the worker raise the real error
-        record = runner.cached_record(request.engine, request.benchmark,
-                                      request.config, scale)
-        if record is None:
-            return None
-        return ExecutionResult(
-            op="bench", engine=request.engine,
-            benchmark=request.benchmark, config=request.config,
-            scale=record.scale, output=record.output,
-            counters=record.counters, cached=True,
-            wall_seconds=record.wall_seconds,
-            simulated_mips=record.simulated_mips)
 
     # -- execution ---------------------------------------------------------
 
@@ -435,7 +469,7 @@ class ExecutionService:
             queue.put_nowait(final)
         self._maybe_finish_drain()
 
-    def reply_done(self):
+    def _reply_done(self):
         """A connection finished (or abandoned) delivering a final
         frame; drain can complete once all replies are out."""
         self._replies_pending -= 1
@@ -486,15 +520,47 @@ def cache_tier_stats():
     }
 
 
-class ExecutionServer:
-    """The socket front end: accepts NDJSON connections and routes
-    frames to an :class:`ExecutionService`."""
+def probe_cache(request):
+    """Parent-side persistent-cache probe for ``bench`` requests;
+    returns a cached :class:`ExecutionResult` or ``None`` and never
+    touches a worker pool.  Both the service and the router (over the
+    shared cache tier) answer hits with it."""
+    if request.op != "bench" or not request.use_cache:
+        return None
+    from repro.bench import runner
+    try:
+        scale = runner.resolve_scale(request.benchmark, request.scale)
+    except KeyError:
+        return None  # let the worker raise the real error
+    record = runner.cached_record(request.engine, request.benchmark,
+                                  request.config, scale)
+    if record is None:
+        return None
+    return ExecutionResult(
+        op="bench", engine=request.engine,
+        benchmark=request.benchmark, config=request.config,
+        scale=record.scale, output=record.output,
+        counters=record.counters, cached=True,
+        wall_seconds=record.wall_seconds,
+        simulated_mips=record.simulated_mips)
 
-    def __init__(self, service, *, socket_path=None, host=None,
+
+class ExecutionServer:
+    """The one NDJSON socket front end: accepts connections and routes
+    frames to a backend — an :class:`ExecutionService` (``repro
+    serve``) or a :class:`repro.serve.router.Router` (``repro route``).
+
+    A backend provides ``start(loop)``, ``stopped`` (an event set once
+    a drain completes), ``begin_drain()``, ``async stop()``,
+    ``stats()`` (the ``status`` payload) and ``async submit(request_id,
+    payload, send)``, which streams one request's event frames and
+    exactly one terminal frame through the ``send`` coroutine."""
+
+    def __init__(self, backend, *, socket_path=None, host=None,
                  port=None):
         if host is None and socket_path is None:
             socket_path = default_socket_path()
-        self.service = service
+        self.backend = backend
         self.socket_path = socket_path
         self.host = host
         self.port = port
@@ -502,9 +568,14 @@ class ExecutionServer:
         self._server = None
         self._connections = set()
 
+    @property
+    def address(self):
+        """The bound address: the socket path, or ``host:port``."""
+        return self.socket_path or "%s:%s" % (self.host, self.bound_port)
+
     async def start(self):
         loop = asyncio.get_running_loop()
-        self.service.start(loop)
+        self.backend.start(loop)
         if self.socket_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
@@ -523,11 +594,11 @@ class ExecutionServer:
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, ValueError):
-                loop.add_signal_handler(signum, self.service.begin_drain)
+                loop.add_signal_handler(signum, self.backend.begin_drain)
 
     async def serve_until_stopped(self):
         """Serve until a drain completes, then shut down cleanly."""
-        await self.service.stopped.wait()
+        await self.backend.stopped.wait()
         await self.close()
 
     async def close(self):
@@ -541,20 +612,21 @@ class ExecutionServer:
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
         self._connections.clear()
-        await self.service.stop()
+        await self.backend.stop()
         if self.socket_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
 
     # -- per-connection protocol -------------------------------------------
 
-    async def _send(self, writer, frame):
-        writer.write(protocol.encode(frame))
-        await writer.drain()
-
     async def _handle_connection(self, reader, writer):
         task = asyncio.current_task()
         self._connections.add(task)
+
+        async def send(frame):
+            writer.write(protocol.encode(frame))
+            await writer.drain()
+
         try:
             while True:
                 try:
@@ -568,10 +640,10 @@ class ExecutionServer:
                 try:
                     frame = protocol.decode(line)
                 except protocol.ProtocolError as err:
-                    await self._send(writer, protocol.error_frame(
+                    await send(protocol.error_frame(
                         None, protocol.ERR_MALFORMED, str(err)))
                     continue
-                await self._handle_frame(frame, writer)
+                await self._handle_frame(frame, send)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -579,111 +651,63 @@ class ExecutionServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _handle_frame(self, frame, writer):
+    async def _handle_frame(self, frame, send):
         request_id = frame.get("id")
         reason = protocol.version_mismatch(frame)
         if reason is not None:
-            await self._send(writer, protocol.error_frame(
+            await send(protocol.error_frame(
                 request_id, protocol.ERR_VERSION, reason))
             return
         kind = frame.get("kind")
         if kind == "ping":
-            await self._send(writer, protocol.pong_frame(request_id))
+            await send(protocol.pong_frame(request_id))
         elif kind == "status":
-            await self._send(writer, protocol.status_frame(
-                request_id, self.service.stats()))
+            await send(protocol.status_frame(request_id,
+                                             self.backend.stats()))
         elif kind == "drain":
-            self.service.begin_drain()
-            await self._send(writer, protocol.status_frame(
-                request_id, self.service.stats()))
+            self.backend.begin_drain()
+            await send(protocol.status_frame(request_id,
+                                             self.backend.stats()))
         elif kind == "submit":
-            await self._handle_submit(frame, writer)
+            payload = frame.get("request")
+            if not isinstance(payload, dict):
+                await send(protocol.error_frame(
+                    request_id, protocol.ERR_MALFORMED,
+                    "submit frame has no request object"))
+                return
+            await self.backend.submit(request_id, payload, send)
         else:
-            await self._send(writer, protocol.error_frame(
+            await send(protocol.error_frame(
                 request_id, protocol.ERR_MALFORMED,
                 "unknown frame kind %r" % (kind,)))
 
-    async def _handle_submit(self, frame, writer):
-        request_id = frame.get("id")
-        payload = frame.get("request")
-        if not isinstance(payload, dict):
-            await self._send(writer, protocol.error_frame(
-                request_id, protocol.ERR_MALFORMED,
-                "submit frame has no request object"))
-            return
-        job, rejection, cached = self.service.submit(payload)
-        if rejection is not None:
-            code, message, extra = rejection
-            await self._send(writer, protocol.error_frame(
-                request_id, code, message, **extra))
-            return
-        if cached is not None:
-            await self._send(writer, protocol.result_frame(
-                request_id, cached.as_dict()))
-            return
 
-        coalesced = job.started or bool(job.subscribers)
-        if coalesced:
-            self.service.stats_counters["coalesced"] += 1
-        queue = asyncio.Queue()
-        job.subscribers.append(queue)
-        await self._send(writer, protocol.event_frame(
-            request_id, "queued", key=job.key, coalesced=coalesced,
-            priority=job.priority))
-        if job.completed:
-            # Completed between submit() and subscription — impossible
-            # on one loop iteration, but cheap to guard.
-            self.service._replies_pending += 1
-            queue.put_nowait(job.final)
-        replied = False
-        try:
-            while True:
-                item = await queue.get()
-                if item[0] == "event":
-                    _kind, event, extra = item
-                    await self._send(writer, protocol.event_frame(
-                        request_id, event, **extra))
-                    continue
-                if item[0] == "result":
-                    result = dict(item[1])
-                    if coalesced:
-                        result["coalesced"] = True
-                    await self._send(writer, protocol.result_frame(
-                        request_id, result))
-                else:
-                    _kind, code, message = item
-                    await self._send(writer, protocol.error_frame(
-                        request_id, code, message))
-                replied = True
-                self.service.reply_done()
-                return
-        finally:
-            if not job.completed:
-                with contextlib.suppress(ValueError):
-                    job.subscribers.remove(queue)
-            elif not replied and queue in job.subscribers:
-                # We were counted at completion but never delivered.
-                job.subscribers.remove(queue)
-                self.service.reply_done()
+async def run_server(backend, announce, *, socket_path=None, host=None,
+                     port=None, signals=True, ready=None):
+    """Boot an :class:`ExecutionServer` over ``backend`` and serve
+    until drained — the shared body of :func:`serve` and
+    :func:`repro.serve.router.route`.
 
-
-async def serve(service=None, *, socket_path=None, host=None, port=None,
-                signals=True, ready=None, **service_kwargs):
-    """Run the daemon until drained (the ``repro serve`` body).
-
-    ``ready`` is an optional callback invoked with the started
-    :class:`ExecutionServer` (tests and the smoke harness use it to
-    learn the bound address)."""
-    service = service or ExecutionService(**service_kwargs)
-    server = ExecutionServer(service, socket_path=socket_path,
+    ``ready`` is an optional callback invoked with the started server
+    (tests and the smoke harnesses use it to learn the bound address);
+    ``announce`` receives the address for the startup log line."""
+    server = ExecutionServer(backend, socket_path=socket_path,
                              host=host, port=port)
     await server.start()
     if signals:
         server.install_signal_handlers()
     if ready is not None:
         ready(server)
-    _LOG.info("serving on %s",
-              server.socket_path or "%s:%s" % (server.host,
-                                               server.bound_port))
+    announce(server.address)
     await server.serve_until_stopped()
+
+
+async def serve(service=None, *, socket_path=None, host=None, port=None,
+                signals=True, ready=None, **service_kwargs):
+    """Run the daemon until drained (the ``repro serve`` body)."""
+    service = service or ExecutionService(**service_kwargs)
+    await run_server(service,
+                     lambda where: _LOG.info("serving on %s", where),
+                     socket_path=socket_path, host=host, port=port,
+                     signals=signals, ready=ready)
     return service

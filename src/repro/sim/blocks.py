@@ -1056,8 +1056,8 @@ class _Emitter:
                      "TD_": TAG_DWORD_DISPLACEMENT,
                      "UP": _PACK_U64.pack, "UQ": _PACK_U64.unpack,
                      "PF": _PACK_F64.pack, "FU": _PACK_F64.unpack}
-        from repro.sim import backend
-        return backend.load_unit("\n".join(lines), filename, namespace)
+        exec(compile("\n".join(lines), filename, "exec"), namespace)
+        return namespace["_block"]
 
 
 def _compile_block(table, start, max_len):

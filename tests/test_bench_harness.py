@@ -12,9 +12,12 @@ from repro.bench.runner import (
 )
 from repro.cli import build_parser
 from repro.engines import BASELINE, CHECKED_LOAD, CONFIGS, TYPED
+from repro.engines.js import vm as js_vm
+from repro.engines.lua import vm as lua_vm
 
 SMALL = ("fibo", "n-sieve")
 SCALES = {"fibo": 8, "n-sieve": 60}
+VMS = {"lua": lua_vm, "js": js_vm}
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +232,47 @@ def test_cli_trace_parser():
     assert args.bytecodes and args.limit == 10
     args = parser.parse_args(["run", "fibo", "--model", "scoreboard"])
     assert args.model == "scoreboard"
+
+
+def test_each_pair_assembles_at_most_once_per_process():
+    """Cells sharing an ``(engine, config)`` pair share its assembled
+    interpreter: the pair assembles at most once per process, and a
+    warm rerun of the same cells assembles nothing."""
+    pairs = {("lua", BASELINE): ("fibo", "n-sieve"),
+             ("lua", TYPED): ("fibo",),
+             ("js", BASELINE): ("fibo",)}
+    for attempt in ("cold", "warm"):
+        for (engine, config), benchmarks in pairs.items():
+            vm = VMS[engine]
+            before = vm.assembly_count
+            for benchmark in benchmarks:
+                run_benchmark(engine, benchmark, config,
+                              scale=SCALES[benchmark], use_cache=False,
+                              attribute=False)
+            assemblies = vm.assembly_count - before
+            assert assemblies <= (1 if attempt == "cold" else 0), \
+                (attempt, engine, config, assemblies)
+
+
+def test_cell_rerun_on_shared_tables_is_bit_identical():
+    """The same cell twice in one process shares its block and trace
+    tables, yet per-run state never leaks through them: the rerun
+    agrees bit for bit with a fresh uncached run."""
+    from repro.sim import blocks
+    from repro.uarch.config import DEFAULT_CONFIG
+
+    program, _attribution = lua_vm.interpreter_program(BASELINE)
+
+    def cell():
+        return run_benchmark("lua", "fibo", BASELINE, scale=SCALES["fibo"],
+                             use_cache=False, attribute=False)
+
+    first = cell()
+    table = blocks._TABLES[program][DEFAULT_CONFIG]
+    compiled = table.compiled
+    second = cell()
+    assert compiled > 0 and table.compiled == compiled  # nothing rebuilt
+    fresh = cell()
+    for run in (first, second):
+        assert run.output == fresh.output
+        assert run.counters.as_dict() == fresh.counters.as_dict()

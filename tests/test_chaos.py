@@ -3,7 +3,9 @@ measurement from ring-membership samples, the chaos SLO gate's
 violation matrix, cache-corruption quarantine, and one compact
 end-to-end campaign against real shard subprocesses."""
 
+import glob
 import random
+import time
 
 import pytest
 
@@ -197,6 +199,27 @@ def test_corrupt_entry_on_an_empty_cache_is_a_noop(tmp_path):
 
 # -- end to end --------------------------------------------------------------
 
+def _processes_naming(needles, timeout=5.0):
+    """Pids whose command line contains any of ``needles``, polled
+    until none is left or ``timeout`` passes (reads ``/proc``; finds
+    nothing where there is none).  A forked pool worker keeps its
+    shard's command line, so this sees workers as well as shards."""
+    deadline = time.monotonic() + timeout
+    while True:
+        found = []
+        for path in glob.glob("/proc/[0-9]*/cmdline"):
+            try:
+                with open(path, "rb") as handle:
+                    cmdline = handle.read().decode(errors="replace")
+            except OSError:
+                continue
+            if any(needle in cmdline for needle in needles):
+                found.append(int(path.split("/")[2]))
+        if not found or time.monotonic() > deadline:
+            return found
+        time.sleep(0.1)
+
+
 def test_chaos_campaign_end_to_end(tmp_path):
     """A compact kill-only campaign against two real shard processes:
     no request lost or duplicated, the killed shard rejoins the ring,
@@ -223,3 +246,8 @@ def test_chaos_campaign_end_to_end(tmp_path):
     violations, text = check_chaos(make_chaos_report(report))
     assert violations == [], text
     render_report(report)                        # must not raise
+    # Every process the shard manager spawned (each shard, the killed
+    # one's respawn, and the pool workers they forked) has exited.
+    sockets = [shard_id[len("unix:"):]
+               for shard_id in report["recovery"]["expected"]]
+    assert _processes_naming(sockets) == []

@@ -4,7 +4,7 @@ drain with zero dropped forwards, and aggregated status.
 
 Shards are in-process :class:`tests.test_serve.Harness` daemons
 (inline pool — deterministic), fronted by a real
-:class:`RouterServer` on its own thread."""
+:class:`ExecutionServer` on its own thread."""
 
 import asyncio
 import json
@@ -18,7 +18,8 @@ from repro.bench import cache as result_cache
 from repro.bench.runner import clear_cache
 from repro.serve.client import ServeBusy, ServeClient, ServeError
 from repro.serve.hashring import HashRing
-from repro.serve.router import Router, RouterServer, ShardSpec
+from repro.serve.router import Router, ShardSpec
+from repro.serve.server import ExecutionServer
 from tests.test_serve import Harness, gated_harness
 
 
@@ -46,8 +47,8 @@ class RouterHarness:
 
     def _run(self):
         async def main():
-            server = RouterServer(self.router,
-                                  socket_path=self.socket_path)
+            server = ExecutionServer(self.router,
+                                     socket_path=self.socket_path)
             await server.start()
             self._ready.set()
             await server.serve_until_stopped()
