@@ -14,8 +14,9 @@ test:
 lint:
 	$(PYTHON) tools/lint.py
 
-# CI smoke: 2-cell cold+warm parallel sweep against a temp disk cache;
-# fails unless the warm pass is pure cache hits with identical records.
+# CI smoke: one benchmark over every registered config, cold+warm,
+# against a temp disk cache; fails unless the warm pass is pure cache
+# hits with identical records and no two configs share counters.
 sweep:
 	$(PYTHON) -m repro sweep --smoke $(if $(JOBS),--jobs $(JOBS))
 

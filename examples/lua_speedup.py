@@ -2,7 +2,7 @@
 
 Reproduces one bar of the paper's Figure 5 interactively: the same
 program, byte-identical output, one row per registered tagging
-scheme (the paper's triple plus selftag and the placement variants).
+scheme (the paper's triple plus the statically elided software guards).
 
 Run:  python examples/lua_speedup.py [benchmark] [scale]
 """

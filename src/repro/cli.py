@@ -271,9 +271,12 @@ def _cmd_sweep_smoke(args):
     """One-benchmark parallel sweep over *every* registered config
     against a throwaway disk cache: run cold, clear the memory cache,
     run warm, check the warm pass was pure cache hits with identical
-    records, and render the N-config figure 5/9 tables (CI uploads
-    the output as an artifact).  ``make sweep`` runs this."""
+    records and that no two configs produce identical counters (a
+    config that duplicates another measures nothing), and render the
+    N-config figure 5/9 tables (CI uploads the output as an
+    artifact).  ``make sweep`` runs this."""
     import tempfile
+    from itertools import combinations
     from repro.bench.parallel import run_matrix_parallel
     from repro.engines import all_configs
 
@@ -295,7 +298,12 @@ def _cmd_sweep_smoke(args):
         and records[key].counters == again[key].counters
         for key in records)
     mismatches = verify_outputs_match(records)
-    ok = identical and not mismatches \
+    counters = [(key[2], record.counters.as_dict())
+                for key, record in records.items()]
+    duplicates = ["%s=%s" % (a, b)
+                  for (a, da), (b, db) in combinations(counters, 2)
+                  if da == db]
+    ok = identical and not mismatches and not duplicates \
         and len(records) == len(warm) == hits
     fig5 = experiments.figure5(records)
     fig9 = experiments.figure9(records)
@@ -308,12 +316,14 @@ def _cmd_sweep_smoke(args):
         print(experiments.render_figure_gradual(gradual))
         print()
     print("sweep smoke: %d cells over %d configs (%s) | cold hits %d | "
-          "warm hits %d/%d | records %s | outputs %s"
+          "warm hits %d/%d | records %s | outputs %s | counters %s"
           % (len(records), len(configs), ", ".join(configs),
              sum(1 for event in cold if event.cached),
              hits, len(warm),
              "identical" if identical else "MISMATCH",
-             "match" if not mismatches else "MISMATCH %s" % mismatches))
+             "match" if not mismatches else "MISMATCH %s" % mismatches,
+             "distinct" if not duplicates
+             else "DUPLICATE %s" % ", ".join(duplicates)))
     print("sweep smoke: %s" % ("OK" if ok else "FAILED"))
     if args.json:
         _write_json(args.json, {"configs": list(configs),
@@ -1733,7 +1743,8 @@ def build_parser():
     chaos_parser.add_argument("--timeout", type=float, default=None,
                               help="per-request client timeout")
     chaos_parser.add_argument("--config", action="append", default=None,
-                              metavar="NAME", choices=sorted(GATE_CONFIGS),
+                              type=_config_arg,
+                              metavar=_config_metavar(),
                               help="restrict traffic to these configs "
                                    "(repeatable)")
     chaos_parser.add_argument("--seed", type=int, default=None,

@@ -5,9 +5,9 @@ hand-written RV64 assembly handlers executed on the simulator, under the
 machine configurations enumerated by the tagging-scheme registry
 (:mod:`repro.engines.configs`): the paper's ``baseline`` (software type
 guards, Figure 1(c)), ``typed`` (the Typed Architecture extension,
-Figure 3) and ``chklb`` (the Checked Load comparator), plus any
-additionally registered schemes (``selftag`` and the tag-placement
-variants ship by default).
+Figure 3) and ``chklb`` (the Checked Load comparator), plus ``elided``
+(software guards with statically proven checks removed) and any
+additionally registered schemes.
 """
 
 from repro.engines.configs import (  # noqa: F401
@@ -15,10 +15,7 @@ from repro.engines.configs import (  # noqa: F401
     CHECKED_LOAD,
     ELIDED,
     GATE_CONFIGS,
-    SELF_TAG,
     TYPED,
-    TYPED_LOWBIT,
-    TYPED_WIDE,
     all_configs,
     all_families,
     all_schemes,
@@ -29,7 +26,6 @@ from repro.engines.configs import (  # noqa: F401
     register,
     register_family,
     unregister,
-    unregister_family,
 )
 
 

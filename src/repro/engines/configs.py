@@ -2,25 +2,13 @@
 
 The paper evaluates exactly three configurations (baseline / chklb /
 typed).  This module generalises that triple into a registry of
-*tagging schemes*: each entry declares a name, how the tag extractor is
-programmed (``R_offset``/``R_shift``/``R_mask`` per engine), which check
-instructions the handlers use (the scheme *family*) and whether the
-scheme participates in the committed performance gate.
+*tagging schemes*: each entry declares a name and which check
+instructions the handlers use (the scheme *family*).  The tag extractor
+is always programmed with the engine's Table 4 geometry.
 
-Beyond the paper's triple the registry ships:
-
-* ``selftag`` — Float Self-Tagging (Melançon et al., OOPSLA 2023): the
-  tag of an unboxed double lives in the float payload itself, so tagged
-  loads/stores of FP values skip the tag-plane memory round-trip.  The
-  simulator models this as a timing elision (the architectural tag
-  plane stays coherent so software slow paths and fault campaigns see
-  identical state).
-* ``typed-lowbit`` / ``typed-wide`` — tag-placement variants in the
-  spirit of Watt's *Look Before You Leap*, expressed purely through
-  extractor geometry (a narrower low-bit window, or a window widened
-  past the NaN-box tag field).  Handlers are untouched; only the
-  startup SPR programming and the Type Rule Table contents change,
-  via :meth:`TaggingScheme.extracted_tag`.
+Beyond the paper's triple the registry ships ``elided``: software
+guards with the static tag-inference pass (``repro.analysis``) eliding
+the checks it proves redundant.
 
 Adding a scheme is a call to :func:`register`; every consumer (sweep,
 figures, fault campaigns, serve warm sets, CLI ``--config``) enumerates
@@ -30,21 +18,11 @@ schemes are gate-exempt until a new baseline is committed.
 """
 
 from dataclasses import dataclass
-from types import MappingProxyType
-
-from repro.isa.extension import (
-    OFFSET_SELF_TAG,
-    SprSettings,
-)
-from repro.sim import nanbox
 
 # Canonical configuration names.  The first three are the paper's triple.
 BASELINE = "baseline"
 TYPED = "typed"
 CHECKED_LOAD = "chklb"
-SELF_TAG = "selftag"
-TYPED_LOWBIT = "typed-lowbit"
-TYPED_WIDE = "typed-wide"
 ELIDED = "elided"
 
 #: The paper's triple, in the order the committed gate baseline stores
@@ -69,9 +47,9 @@ class HandlerPolicy:
     family registers here once and every engine, sweep, figure and
     fault campaign picks it up without per-engine edits.
 
-    ``check_mode`` / ``startup_mode`` select which of the engines'
-    guard flavours and startup fragments the *standard* handlers use
-    (one of the paper-triple families).  The optional hooks extend the
+    ``check_mode`` selects which of the engines' guard flavours and
+    startup fragments the *standard* handlers use (one of the
+    paper-triple families).  The optional hooks extend the
     build: ``quicken(engine, chunk)`` runs after compilation and may
     rewrite bytecode in place; ``quickened_ops(engine)`` names the
     extra opcodes the rewrite may emit (``{opcode: name}`` — sizes the
@@ -83,7 +61,6 @@ class HandlerPolicy:
     family: str
     description: str
     check_mode: str = FAMILY_SOFTWARE
-    startup_mode: str = FAMILY_SOFTWARE
     quicken: object = None
     quickened_ops: object = None
     extra_handlers: object = None
@@ -101,11 +78,6 @@ def register_family(policy):
                          % policy.family)
     _POLICIES[policy.family] = policy
     return policy
-
-
-def unregister_family(family):
-    """Remove a family policy (test hook; built-ins should stay put)."""
-    _POLICIES.pop(family, None)
 
 
 def family_policy(family):
@@ -131,14 +103,12 @@ register_family(HandlerPolicy(
     family=FAMILY_TYPED,
     description="hardware tagged ISA: tld/thdl/xadd/tchk/tsd (Figure 3)",
     check_mode=FAMILY_TYPED,
-    startup_mode=FAMILY_TYPED,
 ))
 
 register_family(HandlerPolicy(
     family=FAMILY_CHECKED,
     description="Checked Load comparator guards (chklb/chklw)",
     check_mode=FAMILY_CHECKED,
-    startup_mode=FAMILY_CHECKED,
 ))
 
 
@@ -174,83 +144,22 @@ register_family(HandlerPolicy(
 
 @dataclass(frozen=True)
 class TaggingScheme:
-    """One registered machine configuration.
-
-    ``geometry`` maps an engine name (``"lua"``/``"js"``) to the
-    :class:`SprSettings` the startup code programs instead of the
-    engine's Table 4 default; engines absent from the mapping keep the
-    default.  A geometry override may only move the tag *window*
-    (shift/mask) — the dword-select and NaN-detect bits of ``R_offset``
-    are part of the value layout and must match the engine default.
-    """
+    """One registered machine configuration."""
 
     name: str
     description: str
     family: str
-    hardware_checks: bool
-    self_tag: bool = False
-    geometry: object = None   # optional {engine: SprSettings}
-    gate_pinned: bool = False
 
     def __post_init__(self):
         if self.family not in _POLICIES:
             raise ValueError("unknown scheme family %r (registered: %s)"
                              % (self.family, ", ".join(_POLICIES)))
-        if self.geometry is not None:
-            object.__setattr__(
-                self, "geometry", MappingProxyType(dict(self.geometry)))
 
-    def spr(self, engine, default):
-        """Resolve the extractor programming for ``engine``.
-
-        ``default`` is the engine's Table 4 :class:`SprSettings`.  The
-        self-tag schemes set the ``OFFSET_SELF_TAG`` bit on top of the
-        resolved offset.
-        """
-        settings = default
-        if self.geometry is not None and engine in self.geometry:
-            settings = self.geometry[engine]
-            if (settings.offset ^ default.offset) & 0b111:
-                raise ValueError(
-                    "scheme %r geometry for %r changes the tag dword "
-                    "select/NaN-detect bits (offset %#o vs default %#o)"
-                    % (self.name, engine, settings.offset, default.offset))
-        if self.self_tag:
-            settings = SprSettings(
-                offset=settings.offset | OFFSET_SELF_TAG,
-                shift=settings.shift, mask=settings.mask)
-        return settings
-
-    def extracted_tag(self, engine, default, tag):
-        """Tag value the extractor reports for layout tag ``tag``.
-
-        A placement variant shifts/masks a different window out of the
-        same physical bits, so the Type Rule Table (and the codec's
-        int/double pseudo-tags) must be loaded with the *transformed*
-        tags.  This computes the transform: materialise the physical
-        tag bits under the engine's default layout, then extract them
-        through this scheme's window.
-        """
-        spr = self.spr(engine, default)
-        if default.nan_detect:
-            bits = nanbox.box(tag, 0)
-        else:
-            bits = (tag & default.mask) << default.shift
-        return (bits >> spr.shift) & spr.mask
-
-
-def transformed_rules(scheme, engine, default, rules):
-    """Type Rule Table contents for ``scheme``: every tag field of the
-    engine's Table 5 ``rules`` mapped through the scheme's extractor
-    window (see :meth:`TaggingScheme.extracted_tag`)."""
-    from repro.isa.extension import TypeRule
-    tr = scheme.extracted_tag
-    return tuple(
-        TypeRule(rule.opcode,
-                 tr(engine, default, rule.type_in1),
-                 tr(engine, default, rule.type_in2),
-                 tr(engine, default, rule.type_out))
-        for rule in rules)
+    @property
+    def hardware_checks(self):
+        """Whether the handlers use hardware type checks (typed or
+        chklb families) rather than software guards."""
+        return family_policy(self.family).check_mode != FAMILY_SOFTWARE
 
 
 # -- registry ----------------------------------------------------------------
@@ -307,71 +216,27 @@ register(TaggingScheme(
     name=BASELINE,
     description="software type guards (Figure 1(c))",
     family=FAMILY_SOFTWARE,
-    hardware_checks=False,
-    gate_pinned=True,
 ))
 
 register(TaggingScheme(
     name=CHECKED_LOAD,
     description="Checked Load comparator (chklb/chklw)",
     family=FAMILY_CHECKED,
-    hardware_checks=True,
-    gate_pinned=True,
 ))
 
 register(TaggingScheme(
     name=TYPED,
     description="Typed Architecture extension (Figure 3, Table 4 geometry)",
     family=FAMILY_TYPED,
-    hardware_checks=True,
-    gate_pinned=True,
 ))
 
-register(TaggingScheme(
-    name=SELF_TAG,
-    description=("Float Self-Tagging: unboxed FP skips the tag-plane "
-                 "round-trip (Melançon et al.)"),
-    family=FAMILY_TYPED,
-    hardware_checks=True,
-    self_tag=True,
-))
-
-# Placement variants: same handlers and check instructions as ``typed``,
-# different extractor windows.  Lua tags fit 5 bits (TNUMINT = 19) and
-# JS tags fit 3 bits (TAG_OBJECT = 7), so the low-bit windows extract
-# the layout tags unchanged; the wide JS window folds the low NaN-prefix
-# bits into the tag (0xF0 | tag), exercising the TRT transform path.
-register(TaggingScheme(
-    name=TYPED_LOWBIT,
-    description="typed with minimal low-bit tag windows (5-bit Lua, 3-bit JS)",
-    family=FAMILY_TYPED,
-    hardware_checks=True,
-    geometry={
-        "lua": SprSettings(offset=0b001, shift=0, mask=0x1F),
-        "js": SprSettings(offset=0b100, shift=47, mask=0x07),
-    },
-))
-
-register(TaggingScheme(
-    name=TYPED_WIDE,
-    description="typed with an 8-bit tag window (JS window spans the "
-                "NaN-prefix low bits)",
-    family=FAMILY_TYPED,
-    hardware_checks=True,
-    geometry={
-        "lua": SprSettings(offset=0b001, shift=0, mask=0xFF),
-        "js": SprSettings(offset=0b100, shift=47, mask=0xFF),
-    },
-))
-
-# The gradual-typing rival (ROADMAP item 4): software guards, but the
-# static tag-inference pass (repro/analysis/) quickens proven-stable
-# sites to guard-free handler variants.  Gate-exempt like every
-# post-baseline scheme.
+# The gradual-typing rival: software guards, but the static
+# tag-inference pass (repro/analysis/) quickens proven-stable sites to
+# guard-free handler variants.  Gate-exempt like every post-baseline
+# scheme.
 register(TaggingScheme(
     name=ELIDED,
     description=("software guards with static tag inference eliding "
                  "proven checks (transient gradual typing)"),
     family=FAMILY_ELIDED,
-    hardware_checks=False,
 ))

@@ -11,7 +11,7 @@ def _software_startup(scheme):
 
 
 def _typed_startup(scheme):
-    spr = scheme.spr("js", layout.SPR_SETTINGS)
+    spr = layout.SPR_SETTINGS
     lines = []
     lines.append("    li a0, %d" % spr.offset)
     lines.append("    setoffset a0")
@@ -19,9 +19,7 @@ def _typed_startup(scheme):
     lines.append("    setshift a0")
     lines.append("    li a0, %d" % spr.mask)
     lines.append("    setmask a0")
-    rules = configs.transformed_rules(
-        scheme, "js", layout.SPR_SETTINGS, layout.TYPE_RULES)
-    for rule in rules:
+    for rule in layout.TYPE_RULES:
         lines.append("    li a0, %d" % pack_rule(rule))
         lines.append("    set_trt a0")
     return lines
@@ -32,7 +30,7 @@ def _chklb_startup(scheme):
             "    settype a0"]
 
 
-#: Startup tail per HandlerPolicy.startup_mode.
+#: Startup tail per HandlerPolicy.check_mode.
 _STARTUP_TAILS = {
     configs.FAMILY_SOFTWARE: _software_startup,
     configs.FAMILY_TYPED: _typed_startup,
@@ -43,10 +41,10 @@ _STARTUP_TAILS = {
 def _startup(scheme):
     policy = configs.family_policy(scheme.family)
     try:
-        tail = _STARTUP_TAILS[policy.startup_mode]
+        tail = _STARTUP_TAILS[policy.check_mode]
     except KeyError:
         raise ValueError("no JS startup for mode %r (family %r)"
-                         % (policy.startup_mode, scheme.family)) from None
+                         % (policy.check_mode, scheme.family)) from None
     lines = ["startup:"]
     lines.append("    li a0, %d" % layout.BOOT_BLOCK)
     lines.append("    ld s0, %d(a0)" % layout.BOOT_MAIN_CODE)

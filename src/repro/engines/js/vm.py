@@ -92,8 +92,7 @@ def interpreter_program(config):
 
 
 def prepare(source, config=BASELINE):
-    scheme = configs.get_scheme(config)
-    policy = configs.family_policy(scheme.family)
+    policy = _policy(config)
     chunk = compile_source(source)
     # Chunks are compiled fresh per prepare(), so the in-place bytecode
     # quickening (elided family) cannot leak into other configurations.
@@ -107,14 +106,8 @@ def prepare(source, config=BASELINE):
     fill_jump_table(image, program, memory, extra_ops=extra_ops)
     host = JsHost(runtime)
     # NaN boxing: the extractor needs the double pseudo-tag and the int
-    # tag for payload sign extension (Section 4.2) — expressed in the
-    # scheme's extractor window (e.g. the wide window reports
-    # 0xF0 | tag, folding in the low NaN-prefix bits).
-    codec = TagCodec(
-        double_tag=scheme.extracted_tag(
-            "js", layout.SPR_SETTINGS, layout.TAG_DOUBLE),
-        int_tag=scheme.extracted_tag(
-            "js", layout.SPR_SETTINGS, layout.TAG_INT32))
+    # tag for payload sign extension (Section 4.2).
+    codec = TagCodec(double_tag=layout.TAG_DOUBLE, int_tag=layout.TAG_INT32)
     # SpiderMonkey co-locates tag and value in one double-word, so integer
     # overflow must trigger a type misprediction (Section 3.2).
     cpu = Cpu(program, memory, host=host.interface, tag_codec=codec,

@@ -11,10 +11,9 @@ def _software_startup(scheme):
 
 
 def _typed_startup(scheme):
-    """Program the tag extractor and Type Rule Table exactly once at
-    launch (Section 3.1) — with the scheme's own extractor geometry and
-    correspondingly transformed rule tags."""
-    spr = scheme.spr("lua", layout.SPR_SETTINGS)
+    """Program the tag extractor (Table 4) and Type Rule Table
+    (Table 5) exactly once at launch (Section 3.1)."""
+    spr = layout.SPR_SETTINGS
     lines = []
     lines.append("    li a0, %d" % spr.offset)
     lines.append("    setoffset a0")
@@ -22,9 +21,7 @@ def _typed_startup(scheme):
     lines.append("    setshift a0")
     lines.append("    li a0, %d" % spr.mask)
     lines.append("    setmask a0")
-    rules = configs.transformed_rules(
-        scheme, "lua", layout.SPR_SETTINGS, layout.TYPE_RULES)
-    for rule in rules:
+    for rule in layout.TYPE_RULES:
         lines.append("    li a0, %d" % pack_rule(rule))
         lines.append("    set_trt a0")
     return lines
@@ -35,7 +32,7 @@ def _chklb_startup(scheme):
             "    settype a0"]
 
 
-#: Startup tail per HandlerPolicy.startup_mode.
+#: Startup tail per HandlerPolicy.check_mode.
 _STARTUP_TAILS = {
     configs.FAMILY_SOFTWARE: _software_startup,
     configs.FAMILY_TYPED: _typed_startup,
@@ -50,10 +47,10 @@ def _startup(scheme):
     selected by its :class:`~repro.engines.configs.HandlerPolicy`."""
     policy = configs.family_policy(scheme.family)
     try:
-        tail = _STARTUP_TAILS[policy.startup_mode]
+        tail = _STARTUP_TAILS[policy.check_mode]
     except KeyError:
         raise ValueError("no Lua startup for mode %r (family %r)"
-                         % (policy.startup_mode, scheme.family)) from None
+                         % (policy.check_mode, scheme.family)) from None
     lines = ["startup:"]
     lines.append("    li a0, %d" % layout.BOOT_BLOCK)
     lines.append("    ld s0, %d(a0)" % layout.BOOT_MAIN_CODE)

@@ -100,8 +100,7 @@ def interpreter_program(config):
 
 def prepare(source, config=BASELINE):
     """Compile + image + assemble; returns (cpu, runtime, program)."""
-    scheme = configs.get_scheme(config)
-    policy = configs.family_policy(scheme.family)
+    policy = _policy(config)
     chunk = compile_source(source)
     # Chunks are compiled fresh per prepare(), so the in-place bytecode
     # quickening (elided family) cannot leak into other configurations.
@@ -116,12 +115,7 @@ def prepare(source, config=BASELINE):
     program, _attribution = interpreter_program(config)
     fill_jump_table(image, program, memory, extra_ops=extra_ops)
     host = LuaHost(runtime)
-    # The F/I-bit table must hold the tags as this scheme's extractor
-    # window reports them (identical to the layout tags for every
-    # shipped Lua geometry, but kept symmetric with the TRT transform).
-    codec = TagCodec(fp_tags=frozenset(
-        scheme.extracted_tag("lua", layout.SPR_SETTINGS, tag)
-        for tag in layout.FP_TAGS))
+    codec = TagCodec(fp_tags=layout.FP_TAGS)
     cpu = Cpu(program, memory, host=host.interface, tag_codec=codec,
               overflow_bits=None)
     # Trace profiles are guest-specific (the hot paths through the

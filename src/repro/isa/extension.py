@@ -13,7 +13,7 @@ from enum import Enum
 class SpecialRegister(Enum):
     """Special-purpose registers added by the extension."""
 
-    OFFSET = "R_offset"   # 4 bits: tag dword select + NaN-detect + self-tag
+    OFFSET = "R_offset"   # 3 bits: tag dword select + NaN-detect
     SHIFT = "R_shift"     # 6 bits: tag start bit within the double-word
     MASK = "R_mask"       # 8 bits: tag extraction mask
     HDL = "R_hdl"         # slow-path (type misprediction handler) address
@@ -27,10 +27,6 @@ OFFSET_NEXT_DWORD = 0b01
 OFFSET_PREV_DWORD = 0b11
 # R_offset bit 2: enable NaN detection for FP-boxed layouts.
 OFFSET_NAN_DETECT = 0b100
-# R_offset bit 3: Float Self-Tagging — the tag of an FP value lives in
-# the float payload itself, so tagged loads/stores of FP values elide
-# the tag-plane memory access (Melançon et al.; the ``selftag`` scheme).
-OFFSET_SELF_TAG = 0b1000
 
 # Byte displacement of the tag double-word for each R_offset[1:0] encoding.
 TAG_DWORD_DISPLACEMENT = {
@@ -48,17 +44,9 @@ TRT_ENTRIES = 8          # Type Rule Table capacity (Section 7.2)
 class SprSettings:
     """One engine's tag extraction configuration (Table 4)."""
 
-    offset: int  # 4 bits
+    offset: int  # 3 bits
     shift: int   # 6 bits
     mask: int    # 8 bits
-
-    @property
-    def nan_detect(self):
-        return bool(self.offset & OFFSET_NAN_DETECT)
-
-    @property
-    def self_tag(self):
-        return bool(self.offset & OFFSET_SELF_TAG)
 
     @property
     def tag_displacement(self):

@@ -760,8 +760,6 @@ class _Emitter:
             body.append("            tg = (vd >> cd_.shift) & cd_.mask")
             body.append("        x = vd")
             body.append("        fb = 1 if tg in cd_.fp_tags else 0")
-            body.append("        if fb and m2 is not None and (co_ & 8):")
-            body.append("            m2 = None")     # Float Self-Tagging
             if i.rd:
                 body.append("    V[%d] = x" % i.rd)
                 body.append("    T[%d] = tg & 255" % i.rd)
@@ -813,8 +811,7 @@ class _Emitter:
             body.append("        else:")
             body.append("            D[ta:ta+8] = (td & %d)"
                         ".to_bytes(8, 'little')" % _M)
-            body.append("        if not ((co_ & 8) and F[%d]):" % i.rs2)
-            body.append("            m2 = ta")       # tag-plane probe
+            body.append("        m2 = ta")           # tag-plane probe
             self._dc_fused("a", "    ")
             body.append("    if m2 is not None:")
             body.append("        if not dc(m2): c += dr(m2)")

@@ -454,13 +454,6 @@ def _op_tld(cpu, i):
         cpu.mem_addr2 = tag_addr
         cpu.mem_width2 = 8
     value, tag, fbit = codec.extract(value_dword, tag_dword)
-    if fbit and codec.self_tag and cpu.mem_addr2 is not None:
-        # Float Self-Tagging: an FP value's tag is recoverable from the
-        # float payload, so the tag-plane probe costs nothing.  The
-        # functional read above keeps the architectural tag plane
-        # coherent; only the timing charge is dropped.
-        cpu.mem_addr2 = None
-        cpu.mem_width2 = 0
     cpu.regs.write_typed(i.rd, value, tag, fbit)
     cpu.pc += 4
 
@@ -479,12 +472,8 @@ def _op_tsd(cpu, i):
     cpu._store(addr, 8, value_dword)
     if tag_dword is not None:
         cpu.mem.store(tag_addr, 8, tag_dword)
-        if not (codec.self_tag and regs.fbit[i.rs2]):
-            # Under Float Self-Tagging the FP tag rides in the float
-            # payload: the tag plane is kept coherent functionally but
-            # the store costs no second memory access.
-            cpu.mem_addr2 = tag_addr
-            cpu.mem_width2 = 8
+        cpu.mem_addr2 = tag_addr
+        cpu.mem_width2 = 8
     cpu.pc += 4
 
 

@@ -15,7 +15,6 @@ detection).
 
 from repro.isa.extension import (
     OFFSET_NAN_DETECT,
-    OFFSET_SELF_TAG,
     TAG_DWORD_DISPLACEMENT,
 )
 from repro.sim import nanbox
@@ -43,7 +42,7 @@ class TagCodec:
 
     # -- configuration ----------------------------------------------------
     def set_offset(self, value):
-        self.offset = value & 0b1111
+        self.offset = value & 0b111
 
     def set_shift(self, value):
         self.shift = value & 0x3F
@@ -52,11 +51,7 @@ class TagCodec:
         self.mask = value & 0xFF
 
     #: Fault-injectable configuration fields and their widths in bits —
-    #: the three special registers of Section 3.3.  ``offset`` stays at
-    #: its original 3 architectural bits even though ``set_offset`` now
-    #: accepts the self-tag MSB: widening the fault window would shift
-    #: every subsequent draw of the seeded fault sequence and invalidate
-    #: committed campaign reports.
+    #: the three special registers of Section 3.3.
     FIELDS = (("offset", 3), ("shift", 6), ("mask", 8))
 
     def corrupt(self, field, mask):
@@ -75,13 +70,6 @@ class TagCodec:
     @property
     def nan_detect(self):
         return bool(self.offset & OFFSET_NAN_DETECT)
-
-    @property
-    def self_tag(self):
-        """Float Self-Tagging: FP values carry their tag in the float
-        payload, so ``tld``/``tsd`` of an FP value skip the tag-plane
-        memory access (the ``selftag`` scheme's timing elision)."""
-        return bool(self.offset & OFFSET_SELF_TAG)
 
     @property
     def tag_displacement(self):

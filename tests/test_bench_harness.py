@@ -212,7 +212,8 @@ def test_cli_sweep_parser_cache_flags():
 def test_cli_sweep_smoke(capsys):
     """The ``make sweep`` smoke target: one benchmark across every
     registered config, cold then warm, against a throwaway disk
-    cache, with the N-config figure 5/9 tables rendered."""
+    cache, with the N-config figure 5/9 tables rendered and every
+    config's counters distinct from every other's."""
     from repro.cli import main
     from repro.engines import all_configs
     cells = len(all_configs())
@@ -222,7 +223,10 @@ def test_cli_sweep_smoke(capsys):
     assert "records identical" in out
     assert "sweep smoke: OK" in out
     assert "Figure 5" in out and "Figure 9" in out
-    assert "selftag" in out and "typed-lowbit" in out
+    assert "counters distinct" in out
+    figure5 = out.split("Figure 5")[1].split("Figure 9")[0]
+    for config in ("baseline", "chklb", "typed", "elided"):
+        assert config in figure5
 
 
 def test_cli_trace_parser():

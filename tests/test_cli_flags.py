@@ -51,6 +51,15 @@ def test_aliases_hidden_from_help(parser, subcommand, capsys):
     assert "--json-out" not in out
 
 
+def test_chaos_config_accepts_any_registered_config(parser, capsys):
+    args = parser.parse_args(["chaos", "--config", "elided"])
+    assert args.config == ["elided"]
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["chaos", "--config", "no-such-config"])
+    assert excinfo.value.code == 2
+    assert "unknown config" in capsys.readouterr().err
+
+
 def test_serve_and_submit_registered(parser, capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(["--help"])

@@ -5,13 +5,13 @@ import pytest
 from repro.engines import (
     BASELINE,
     CHECKED_LOAD,
+    ELIDED,
     GATE_CONFIGS,
-    SELF_TAG,
     TYPED,
-    TYPED_LOWBIT,
-    TYPED_WIDE,
     all_configs,
+    all_families,
     all_schemes,
+    family_policy,
     get_scheme,
     hardware_check_configs,
     is_registered,
@@ -22,19 +22,17 @@ from repro.engines.configs import (
     FAMILY_SOFTWARE,
     FAMILY_TYPED,
     TaggingScheme,
-    transformed_rules,
 )
 from repro.engines.js import layout as js_layout
+from repro.engines.js import vm as js_vm
 from repro.engines.lua import layout as lua_layout
-from repro.isa.extension import OFFSET_SELF_TAG, SprSettings
-from repro.sim import nanbox
-from repro.sim.tagio import TagCodec
+from repro.engines.lua import vm as lua_vm
+from repro.sim.trt import TRT_OPCODES
 
 
 def _scheme(name, **kwargs):
     kwargs.setdefault("description", "test scheme")
     kwargs.setdefault("family", FAMILY_TYPED)
-    kwargs.setdefault("hardware_checks", True)
     return TaggingScheme(name=name, **kwargs)
 
 
@@ -42,23 +40,24 @@ def _scheme(name, **kwargs):
 
 def test_builtins_registered_in_order():
     configs = all_configs()
-    assert configs[:3] == GATE_CONFIGS == (BASELINE, CHECKED_LOAD, TYPED)
-    assert set(configs) >= {SELF_TAG, TYPED_LOWBIT, TYPED_WIDE}
+    assert configs == (BASELINE, CHECKED_LOAD, TYPED, ELIDED)
     assert [s.name for s in all_schemes()] == list(configs)
 
 
 def test_gate_configs_pinned_to_paper_triple():
-    for config in GATE_CONFIGS:
-        assert get_scheme(config).gate_pinned
-    for config in (SELF_TAG, TYPED_LOWBIT, TYPED_WIDE):
-        assert not get_scheme(config).gate_pinned
+    assert GATE_CONFIGS == (BASELINE, CHECKED_LOAD, TYPED)
+    assert ELIDED not in GATE_CONFIGS
 
 
 def test_hardware_check_configs_excludes_baseline():
-    hw = hardware_check_configs()
-    assert BASELINE not in hw
-    assert set(hw) >= {TYPED, CHECKED_LOAD, SELF_TAG, TYPED_LOWBIT,
-                       TYPED_WIDE}
+    assert hardware_check_configs() == (CHECKED_LOAD, TYPED)
+
+
+def test_hardware_checks_follow_family_check_mode():
+    for family in all_families():
+        scheme = _scheme("probe", family=family)
+        assert scheme.hardware_checks \
+            == (family_policy(family).check_mode != FAMILY_SOFTWARE)
 
 
 def test_register_and_unregister():
@@ -103,12 +102,7 @@ def test_duplicate_family_rejected():
 
 
 def test_family_registry_contents():
-    from repro.engines.configs import (
-        FAMILY_CHECKED,
-        FAMILY_ELIDED,
-        all_families,
-        family_policy,
-    )
+    from repro.engines.configs import FAMILY_CHECKED, FAMILY_ELIDED
     assert set(all_families()) == {FAMILY_SOFTWARE, FAMILY_TYPED,
                                    FAMILY_CHECKED, FAMILY_ELIDED}
     with pytest.raises(ValueError, match="unknown scheme family"):
@@ -125,11 +119,10 @@ def test_family_registry_contents():
 
 
 def test_elided_scheme_registered_and_gate_exempt():
-    from repro.engines.configs import ELIDED, FAMILY_ELIDED
+    from repro.engines.configs import FAMILY_ELIDED
     scheme = get_scheme(ELIDED)
     assert scheme.family == FAMILY_ELIDED
     assert not scheme.hardware_checks
-    assert not scheme.gate_pinned
     assert ELIDED not in GATE_CONFIGS
     assert ELIDED in all_configs()
     assert ELIDED not in hardware_check_configs()
@@ -155,91 +148,19 @@ def test_live_configs_view_through_engines_module():
 # -- extractor geometry ------------------------------------------------------
 
 def test_default_scheme_uses_table4_geometry():
-    typed = get_scheme(TYPED)
-    assert typed.spr("lua", lua_layout.SPR_SETTINGS) \
-        == lua_layout.SPR_SETTINGS
-    assert typed.spr("js", js_layout.SPR_SETTINGS) \
-        == js_layout.SPR_SETTINGS
-
-
-def test_selftag_sets_offset_bit_only():
-    spr = get_scheme(SELF_TAG).spr("lua", lua_layout.SPR_SETTINGS)
-    default = lua_layout.SPR_SETTINGS
-    assert spr.offset == default.offset | OFFSET_SELF_TAG
-    assert spr.self_tag
-    assert (spr.shift, spr.mask) == (default.shift, default.mask)
-    # The tag transform is the identity: same window, extra offset bit.
-    for tag in range(20):
-        assert get_scheme(SELF_TAG).extracted_tag(
-            "lua", default, tag) == tag & default.mask
-
-
-def test_lowbit_windows_extract_layout_tags_unchanged():
-    lowbit = get_scheme(TYPED_LOWBIT)
-    for tag in (lua_layout.TNUMFLT, lua_layout.TNUMINT):
-        assert lowbit.extracted_tag(
-            "lua", lua_layout.SPR_SETTINGS, tag) == tag
-    for tag in (js_layout.TAG_DOUBLE, js_layout.TAG_INT32):
-        assert lowbit.extracted_tag(
-            "js", js_layout.SPR_SETTINGS, tag) == tag
-
-
-def test_wide_js_window_folds_nan_prefix_bits():
-    wide = get_scheme(TYPED_WIDE)
-    default = js_layout.SPR_SETTINGS
-    # The 8-bit window at shift 47 spans the NaN-box tag plus the low
-    # four bits of the NaN prefix: extracted = 0xF0 | tag.
-    for tag in range(8):
-        expected = (nanbox.box(tag, 0) >> 47) & 0xFF
-        assert expected == 0xF0 | tag
-        assert wide.extracted_tag("js", default, tag) == expected
-
-
-def test_geometry_may_not_move_the_dword_select():
-    scheme = _scheme("bad-offset", geometry={
-        "lua": SprSettings(offset=0b011, shift=0, mask=0xFF)})
-    with pytest.raises(ValueError, match="dword"):
-        scheme.spr("lua", lua_layout.SPR_SETTINGS)
-
-
-def test_geometry_round_trip_through_tagio():
-    """Programming a codec with a scheme's SPR values reproduces
-    TaggingScheme.extracted_tag for every layout tag."""
-    for engine, layout, tags in (
-            ("lua", lua_layout, range(20)),
-            ("js", js_layout, range(8))):
-        default = layout.SPR_SETTINGS
-        for config in (TYPED, SELF_TAG, TYPED_LOWBIT, TYPED_WIDE):
-            scheme = get_scheme(config)
-            spr = scheme.spr(engine, default)
-            codec = TagCodec()
-            codec.set_offset(spr.offset)
-            codec.set_shift(spr.shift)
-            codec.set_mask(spr.mask)
-            assert codec.self_tag == scheme.self_tag
-            for tag in tags:
-                if default.nan_detect:
-                    bits = nanbox.box(tag, 0)
-                else:
-                    bits = (tag & default.mask) << default.shift
-                assert (bits >> codec.shift) & codec.mask \
-                    == scheme.extracted_tag(engine, default, tag)
-
-
-def test_transformed_rules_remap_every_tag_field():
-    wide = get_scheme(TYPED_WIDE)
-    default = js_layout.SPR_SETTINGS
-    rules = transformed_rules(wide, "js", default, js_layout.TYPE_RULES)
-    assert len(rules) == len(js_layout.TYPE_RULES)
-    for original, transformed in zip(js_layout.TYPE_RULES, rules):
-        assert transformed.opcode == original.opcode
-        assert transformed.type_in1 == 0xF0 | original.type_in1
-        assert transformed.type_in2 == 0xF0 | original.type_in2
-        assert transformed.type_out == 0xF0 | original.type_out
-    # Identity transform for the default scheme.
-    assert transformed_rules(get_scheme(TYPED), "js", default,
-                             js_layout.TYPE_RULES) \
-        == tuple(js_layout.TYPE_RULES)
+    """The typed startup programs each engine's Table 4 extractor
+    geometry and loads its Table 5 rules into the TRT unchanged."""
+    for vm, layout in ((lua_vm, lua_layout), (js_vm, js_layout)):
+        cpu, _runtime, _program = vm.prepare("print(1);", TYPED)
+        cpu.run()
+        spr = layout.SPR_SETTINGS
+        codec = cpu.codec
+        assert (codec.offset, codec.shift, codec.mask) \
+            == (spr.offset, spr.shift, spr.mask)
+        assert cpu.trt.snapshot()["rules"] == {
+            (TRT_OPCODES[rule.opcode], rule.type_in1, rule.type_in2):
+                rule.type_out
+            for rule in layout.TYPE_RULES}
 
 
 # -- downstream validation ---------------------------------------------------
@@ -252,8 +173,7 @@ def test_api_validation_tracks_registry():
                                    config="late-api-scheme")
     with pytest.raises(SchemaError, match="unknown config"):
         request.validate()
-    register(_scheme("late-api-scheme", family=FAMILY_SOFTWARE,
-                     hardware_checks=False))
+    register(_scheme("late-api-scheme", family=FAMILY_SOFTWARE))
     try:
         request.validate()
     finally:

@@ -4,7 +4,8 @@ Covers the registry-driven figure pipeline (figures 5 and 9 rendering
 an arbitrary number of registered configs), the figure 9 denominator
 regression (chklb rates normalised by the chklb run's own bytecode
 count) and the fault-campaign guarantee that every config — including
-``selftag`` — faces the identical seeded fault sequence.
+a late-registered one — faces the identical seeded fault sequence.
+The late-registered config is a test-only clone of the typed family.
 """
 
 from types import SimpleNamespace
@@ -16,19 +17,30 @@ from repro.bench.runner import RunRecord, clear_cache, run_matrix
 from repro.engines import (
     BASELINE,
     CHECKED_LOAD,
-    SELF_TAG,
     TYPED,
-    TYPED_LOWBIT,
-    TYPED_WIDE,
     all_configs,
+    register,
+    unregister,
 )
+from repro.engines.configs import FAMILY_TYPED, TaggingScheme
 
-SMOKE_CONFIGS = (BASELINE, CHECKED_LOAD, TYPED, SELF_TAG,
-                 TYPED_LOWBIT, TYPED_WIDE)
+TYPED_CLONE = "typed-clone"
+SMOKE_CONFIGS = (BASELINE, CHECKED_LOAD, TYPED, TYPED_CLONE)
 
 
 @pytest.fixture(scope="module")
-def records():
+def typed_clone():
+    register(TaggingScheme(name=TYPED_CLONE,
+                           description="test-only typed clone",
+                           family=FAMILY_TYPED))
+    try:
+        yield TYPED_CLONE
+    finally:
+        unregister(TYPED_CLONE)
+
+
+@pytest.fixture(scope="module")
+def records(typed_clone):
     clear_cache()
     return run_matrix(engines=("lua",), benchmarks=("fibo",),
                       configs=SMOKE_CONFIGS, scales={"fibo": 6})
@@ -40,8 +52,9 @@ def test_figure5_renders_all_registered_configs(records):
     data = experiments.figure5(records)
     assert set(data["lua"]["geomean"]) == set(SMOKE_CONFIGS)
     assert data["lua"]["geomean"][BASELINE] == pytest.approx(1.0)
-    for config in (TYPED, SELF_TAG, TYPED_LOWBIT, TYPED_WIDE):
-        assert data["lua"]["geomean"][config] > 1.0
+    assert data["lua"]["geomean"][TYPED] > 1.0
+    assert data["lua"]["geomean"][TYPED_CLONE] \
+        == data["lua"]["geomean"][TYPED]
     text = experiments.render_figure5(data)
     for config in SMOKE_CONFIGS:
         assert config in text
@@ -53,26 +66,10 @@ def test_figure9_renders_all_hardware_check_configs(records):
     # Paper key names for the original triple, derived names beyond it.
     assert {"typed_hit", "typed_miss", "overflow",
             "chklb_hit", "chklb_miss"} <= set(entry)
-    for config in (SELF_TAG, TYPED_LOWBIT, TYPED_WIDE):
-        assert entry["%s_hit" % config] == entry["typed_hit"]
+    assert entry["%s_hit" % TYPED_CLONE] == entry["typed_hit"]
     assert BASELINE not in {key.split("_")[0] for key in entry}
     text = experiments.render_figure9(data)
-    assert "selftag_hit" in text and "chklb_hit" in text
-
-
-def test_selftag_matches_typed_except_tag_plane_traffic():
-    # n-body is float-heavy; fibo (integer-only) would elide nothing.
-    clear_cache()
-    pair = run_matrix(engines=("lua",), benchmarks=("n-body",),
-                      configs=(TYPED, SELF_TAG), scales={"n-body": 3})
-    clear_cache()
-    typed = pair[("lua", "n-body", TYPED)]
-    selftag = pair[("lua", "n-body", SELF_TAG)]
-    assert selftag.output == typed.output
-    assert selftag.counters.instructions == typed.counters.instructions
-    # Float Self-Tagging elides the tag-plane probe for FP values.
-    assert selftag.counters.dcache_accesses \
-        < typed.counters.dcache_accesses
+    assert "%s_hit" % TYPED_CLONE in text and "chklb_hit" in text
 
 
 def _record(config, chk_hits, chk_misses, type_hits, type_misses,
@@ -106,20 +103,20 @@ def test_figure9_uses_each_configs_own_denominator():
 
 # -- fault-campaign parity ---------------------------------------------------
 
-def test_campaign_covers_registry_with_identical_fault_sequence():
-    """Every registered config — selftag included — faces the same
-    abstract seeded fault sequence as the paper's triple; only the
+def test_campaign_covers_registry_with_identical_fault_sequence(
+        typed_clone):
+    """Every registered config — the late clone included — faces the
+    same abstract seeded fault sequence as the paper's triple; only the
     resolved instruction index differs (it scales with each config's
     golden instruction count)."""
     from repro.faults import run_campaign
     clear_cache()
-    configs = (BASELINE, CHECKED_LOAD, TYPED, SELF_TAG)
     report = run_campaign(seed=7, count=5, engines=("lua",),
-                          benchmarks=("fibo",), configs=configs,
+                          benchmarks=("fibo",), configs=SMOKE_CONFIGS,
                           scales={"fibo": 2}, max_workers=1)
     clear_cache()
     cells = {cell["config"]: cell for cell in report["cells"]}
-    assert set(cells) == set(configs)
+    assert set(cells) == set(SMOKE_CONFIGS)
 
     def abstract_sequence(config):
         return [{key: value
@@ -129,10 +126,10 @@ def test_campaign_covers_registry_with_identical_fault_sequence():
 
     reference = abstract_sequence(TYPED)
     assert len(reference) == 5
-    for config in configs:
+    for config in SMOKE_CONFIGS:
         assert abstract_sequence(config) == reference
-    assert set(report["coverage"]) == set(configs)
+    assert set(report["coverage"]) == set(SMOKE_CONFIGS)
 
 
-def test_sweep_default_covers_registry():
+def test_sweep_default_covers_registry(typed_clone):
     assert set(SMOKE_CONFIGS) <= set(all_configs())

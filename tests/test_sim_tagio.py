@@ -58,6 +58,15 @@ def test_lua_roundtrip(value, tag, old):
     assert back_tag == tag
 
 
+def test_offset_register_is_three_bits():
+    """``R_offset`` is the paper's 3-bit register: dword select plus
+    the NaN-detect bit."""
+    codec = TagCodec()
+    codec.set_offset(0b1111)
+    assert codec.offset == 0b111
+    assert dict(TagCodec.FIELDS)["offset"] == 3
+
+
 # -- SpiderMonkey layout: NaN boxing ------------------------------------------
 
 def test_js_nan_detect_enabled():
