@@ -96,10 +96,11 @@ def run_benchmark(engine, benchmark, config, scale=None, use_cache=True,
     ``use_blocks`` enables the basic-block superinstruction engine
     (see :mod:`repro.sim.blocks`); counters are bit-identical either
     way, so cached records are shared across the setting.
-    ``attribute=False`` skips per-bytecode attribution — the fastest
-    way to run a cell, used by ``tools/perfbench.py`` — and forces the
-    cell to bypass the caches, since attribution-free counters would
-    starve the figure pipeline if they were ever served from cache.
+    ``attribute=False`` skips per-bytecode attribution, which lets the
+    cell run on the trace engine (attributed cells run on blocks; see
+    :meth:`repro.uarch.pipeline.Machine.run`), and forces the cell to
+    bypass the caches, since attribution-free counters would starve
+    the figure pipeline if they were ever served from cache.
     """
     from repro import api
 

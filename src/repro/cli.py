@@ -1369,7 +1369,7 @@ def build_parser():
                                  "is slower)")
     run_parser.add_argument("--no-attribution", action="store_true",
                             help="skip per-bytecode attribution: "
-                                 "fastest simulation (block engine), "
+                                 "lets the run use the trace engine; "
                                  "never cached")
     run_parser.add_argument("--fresh", action="store_true",
                             help="bypass the result caches for this run")

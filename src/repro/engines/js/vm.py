@@ -128,8 +128,8 @@ def run_js(source, *, config=BASELINE, machine_config=None,
     keyword-only signature as ``run_lua``.  ``telemetry`` optionally
     attaches an event bus (see :mod:`repro.telemetry`) to the CPU and
     timing model.  ``use_blocks`` enables the basic-block
-    superinstruction engine (only effective without
-    attribution/telemetry; counters are identical either way).
+    superinstruction engine (only effective without telemetry;
+    counters are identical either way).
     """
     from repro import api
     result = api._engine_run(

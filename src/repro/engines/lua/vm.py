@@ -136,8 +136,8 @@ def run_lua(source, *, config=BASELINE, machine_config=None,
     ``"chklb"``, ``"elided"``, ...).  ``telemetry`` optionally attaches
     an event bus (see :mod:`repro.telemetry`) to the CPU and timing
     model.  ``use_blocks`` enables the basic-block superinstruction
-    engine (only effective without attribution/telemetry; counters are
-    identical either way).
+    engine (only effective without telemetry; counters are identical
+    either way).
     """
     from repro import api
     result = api._engine_run(

@@ -15,7 +15,10 @@ analysis).  A block extends through conditional branches (guarded on the
 taken direction) and through the may-redirect typed instructions
 (``xadd``/``xsub``/``xmul``/``tchk``/``chklb``/``chklw``/``thdl``,
 guarded on the redirect), and ends at ``jal``/``jalr``/``ecall``/
-``ebreak`` or after :data:`MAX_BLOCK_LEN` instructions.
+``ebreak``, after :data:`MAX_BLOCK_LEN` instructions, or just before a
+*leader* (see :meth:`BlockTable.add_leaders`: attributed runs make every
+bytecode-handler entry one, so per-bytecode attribution can be charged
+per block).
 
 Each block is compiled to one generated Python function that
 
@@ -118,6 +121,7 @@ class BlockTable:
             raise IllegalInstruction("no semantics for %s" % err) from None
         self.kinds = [_kind_of(i.mnemonic) for i in program.instructions]
         self.blocks = [None] * len(program.instructions)
+        self.leaders = set()
         self._singles = {}
         self.compiled = 0
         self.compile_failures = 0
@@ -126,6 +130,36 @@ class BlockTable:
         # by absolute instruction index).
         self._h = tuple(self.handlers)
         self._i = tuple(program.instructions)
+
+    def extent(self, start, max_len):
+        """The exclusive stop index of the block entered at ``start``
+        (see :func:`repro.engines.ir.block_extent`), cut before the
+        first leader after ``start``."""
+        stop = block_extent(self.instructions, start, max_len)
+        leaders = self.leaders
+        for index in range(start + 1, stop):
+            if index in leaders:
+                return index
+        return stop
+
+    def add_leaders(self, indices):
+        """Make every instruction index in ``indices`` a block leader.
+
+        Later blocks stop just before a leader, and a compiled block
+        that spans a new one is dropped so it recompiles to the shorter
+        extent.  Cutting a block changes how a run is dispatched, never
+        what it computes, so shared traces and other runs of the table
+        are unaffected.
+        """
+        new = set(indices) - self.leaders
+        if not new:
+            return
+        self.leaders |= new
+        blocks = self.blocks
+        for start, entry in enumerate(blocks):
+            if entry is not None and any(
+                    start < index < start + entry[1] for index in new):
+                blocks[start] = None
 
     def block_at(self, index):
         """The block entered at ``index``, compiling it on first use.
@@ -249,12 +283,6 @@ def _alu_inline(i):
         value = to_unsigned(to_signed(imm << 12, 32))
         return [], "%d" % value
     return None
-
-
-def _block_extent(table, start, max_len):
-    """The exclusive stop index of the block entered at ``start``
-    (see :func:`repro.engines.ir.block_extent`)."""
-    return block_extent(table.instructions, start, max_len)
 
 
 class _Emitter:
@@ -1060,7 +1088,7 @@ class _Emitter:
 def _compile_block(table, start, max_len):
     """Generate, ``exec`` and return ``(fn, count)`` for the block
     entered at instruction index ``start``."""
-    stop = _block_extent(table, start, max_len)
+    stop = table.extent(start, max_len)
     emitter = _Emitter(table)
     for index in range(start, stop):
         emitter.emit(index)

@@ -16,9 +16,10 @@ paid once per trace instead:
   the program text (:func:`_chain_segment`): a conditional branch whose
   taken target matches, a ``jal`` whose target matches, a ``jalr``
   (guarded on the assumed target), or the unconditional fall-through at
-  a :data:`~repro.sim.blocks.MAX_BLOCK_LEN` cut.  Transitions produced
-  by dynamic redirects (type mispredictions, checked-load misses,
-  ``thdl`` deoptimisation) cannot be justified and truncate the trace.
+  a block cut (:data:`~repro.sim.blocks.MAX_BLOCK_LEN` or a leader).
+  Transitions produced by dynamic redirects (type mispredictions,
+  checked-load misses, ``thdl`` deoptimisation) cannot be justified and
+  truncate the trace.
 * **Guarded side exits.**  The chained unit is compiled by the same
   per-instruction emitter as basic blocks
   (:class:`repro.sim.blocks._Emitter`), so a guard failure — branch
@@ -46,12 +47,16 @@ from repro.engines.ir import (
     BRANCH_COND as _BRANCH_COND,
     MASK64 as _M,
     MAX_BLOCK_LEN,
-    block_extent,
 )
 from repro.sim.blocks import _Emitter, block_table
 
 #: A block becomes a trace head after this many dispatch-loop entries.
 TRACE_THRESHOLD = 16
+
+#: Trace tables kept per ``(program, config)``: the tables of the most
+#: recently run workloads.  A process that runs many distinct guest
+#: sources would otherwise keep every source's compiled traces alive.
+MAX_TRACE_WORKLOADS = 4
 
 #: Recording stops after this many chained blocks even without closing
 #: the loop back to the head.
@@ -279,7 +284,7 @@ def _chain_segment(blocks, s, t):
     instrs = blocks.instructions
     base = blocks.base
     size = len(instrs)
-    stop = min(size, s + MAX_BLOCK_LEN)
+    stop = blocks.extent(s, MAX_BLOCK_LEN)
     for j in range(s, stop):
         i = instrs[j]
         mn = i.mnemonic
@@ -299,7 +304,8 @@ def _chain_segment(blocks, s, t):
         if mn in ("ecall", "ebreak"):
             return None
     if stop < size and stop == t:
-        return (s, stop, ("fall",))  # MAX_BLOCK_LEN cut: unconditional
+        # Block cut (MAX_BLOCK_LEN or a leader): unconditional.
+        return (s, stop, ("fall",))
     return None
 
 
@@ -324,8 +330,7 @@ def _plan(blocks, path):
             break
         segments.append(seg)
         final = t
-    segments.append((final, block_extent(blocks.instructions, final,
-                                         MAX_BLOCK_LEN), None))
+    segments.append((final, blocks.extent(final, MAX_BLOCK_LEN), None))
     return segments
 
 
@@ -375,8 +380,9 @@ def _compile_trace(blocks, segments):
     return fn, emitter.k
 
 
-# One table per (program, machine config, guest workload), keyed weakly
-# on the program like blocks._TABLES.
+# Per program (keyed weakly like blocks._TABLES): per machine config,
+# the trace tables of the MAX_TRACE_WORKLOADS most recently used guest
+# workloads, least recently used first.
 _TABLES = weakref.WeakKeyDictionary()
 
 
@@ -391,15 +397,23 @@ def trace_table(program, config, workload=None):
     engine stamps on the CPU (see ``vm.prepare``).  This mirrors a real
     DBT's per-process code cache: two guests never pollute each other's
     traces, while repeated runs of the same guest (warm-up, sweep
-    cells) reuse profiles and compiled traces for free.
+    cells) reuse profiles and compiled traces for free.  Only the
+    :data:`MAX_TRACE_WORKLOADS` most recently used workloads keep their
+    table; an evicted workload starts over with a fresh one, which
+    changes how its next run is dispatched but not its counters.
     """
     per_program = _TABLES.get(program)
     if per_program is None:
         per_program = {}
         _TABLES[program] = per_program
-    key = (config, workload)
-    table = per_program.get(key)
+    per_config = per_program.get(config)
+    if per_config is None:
+        per_config = {}
+        per_program[config] = per_config
+    table = per_config.pop(workload, None)
     if table is None:
         table = TraceTable(program, config)
-        per_program[key] = table
+        if len(per_config) >= MAX_TRACE_WORKLOADS:
+            del per_config[next(iter(per_config))]
+    per_config[workload] = table  # most recently used last
     return table

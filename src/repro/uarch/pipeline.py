@@ -16,6 +16,8 @@ overlap to mis-model beyond the load-use interlock) while staying fast
 enough to run the full benchmark suite in pure Python.
 """
 
+from collections import defaultdict
+
 from repro.isa.instructions import (
     BRANCH_MNEMONICS,
     DIV_MNEMONICS,
@@ -45,6 +47,10 @@ K_DIV = 10
 K_FP_ALU = 11
 K_FP_DIV = 12
 K_FP_SQRT = 13
+
+# Kinds whose execution the attribution charges as a per-bytecode type
+# hit (or, when it redirects, a miss).
+_TYPED_KINDS = (K_TAGGED_ALU, K_CHECK)
 
 _FP_ALU_MNEMONICS = frozenset(
     ["fadd.d", "fsub.d", "fmul.d", "fsgnj.d", "fsgnjn.d", "fsgnjx.d",
@@ -89,6 +95,9 @@ class Attribution:
     attribute per-instruction counts (e.g. one bucket per bytecode
     handler); ``entry_points`` maps an address to a bytecode name whose
     execution count increments whenever that instruction retires.
+    ``leaders`` holds the instruction indices of the entry points: the
+    block engine starts a block at each of them, so a bytecode switch
+    only ever happens at a block's first instruction.
     """
 
     def __init__(self, program, bucket_ranges=(), entry_points=None):
@@ -111,6 +120,8 @@ class Attribution:
                 entry_ids[name] = len(self.entry_names)
                 self.entry_names.append(name)
             self.entry_of[program.instr_index(addr)] = entry_ids[name]
+        self.leaders = frozenset(index for index, entry
+                                 in enumerate(self.entry_of) if entry >= 0)
 
 
 class Machine:
@@ -144,22 +155,24 @@ class Machine:
         """Run to completion, accumulating cycles and counters.
 
         Engine selection: the superblock trace engine
-        (:mod:`repro.sim.traces`) by default, the basic-block engine
-        (:mod:`repro.sim.blocks`) with ``use_traces=False``, and the
+        (:mod:`repro.sim.traces`) by default; the basic-block engine
+        (:mod:`repro.sim.blocks`) with ``use_traces=False`` or with
+        attribution, which it charges per block; and the
         per-instruction reference loop whenever something needs
-        per-instruction visibility — attribution, telemetry (machine-
-        or cpu-level), tracers that rebind ``cpu.step`` — or with
-        ``use_blocks=False``.  All engines produce bit-identical
-        counters and cycles.
+        per-instruction visibility — telemetry (machine- or
+        cpu-level), tracers and fault hooks that rebind ``cpu.step`` —
+        or with ``use_blocks=False``.  All engines produce
+        bit-identical counters and cycles.
         """
-        if (self.use_blocks and self.attribution is None
-                and self.telemetry is None
+        if (self.use_blocks and self.telemetry is None
                 and self.cpu.telemetry is None
                 and "step" not in self.cpu.__dict__):
             # Traces additionally inline the TRT hit path, so an
             # instance-rebound ``trt.lookup`` (telemetry wrapper) must
-            # fall back to the handler-calling block engine.
-            if self.use_traces and "lookup" not in self.cpu.trt.__dict__:
+            # fall back to the handler-calling block engine.  Traces
+            # carry no attribution, so attributed runs stay on blocks.
+            if (self.use_traces and self.attribution is None
+                    and "lookup" not in self.cpu.trt.__dict__):
                 return self._run_traces(max_instructions)
             return self._run_blocks(max_instructions)
         return self._run_interpreted(max_instructions)
@@ -170,6 +183,8 @@ class Machine:
 
         cpu = self.cpu
         table = block_table(cpu.program, self.config)
+        if self.attribution is not None:
+            return self._run_blocks_attributed(table, max_instructions)
         blocks = table.blocks
         base = table.base
         icache = self.icache
@@ -203,6 +218,127 @@ class Machine:
                     % (max_instructions, cpu.pc), pc=cpu.pc)
 
         return self._finalize(cycles)
+
+    def _run_blocks_attributed(self, table, max_instructions):
+        """:meth:`_run_blocks` with per-bytecode attribution.
+
+        Handler entries are block leaders (``table.add_leaders``), so
+        a block switches bytecode only at its first instruction, and
+        what a block executed is the contiguous run of instructions
+        from its entry index.  The loop therefore closes the flat span
+        and counts the bytecode when a block starts on an entry, and
+        otherwise only tallies each dispatch as (current entry, start
+        index, instructions executed, ``cpu.redirect``).  Bucket counts
+        and type hits and misses are expanded from that tally once the
+        run ends (:meth:`_charge_dispatches`).  The counters equal the
+        reference loop's, attribution included.
+        """
+        from repro.sim.blocks import MAX_BLOCK_LEN
+
+        attribution = self.attribution
+        table.add_leaders(attribution.leaders)
+        cpu = self.cpu
+        blocks = table.blocks
+        size = len(blocks)
+        span = MAX_BLOCK_LEN + 1
+        base = table.base
+        icache = self.icache
+        ic = icache.access
+        dc = self.dcache.access
+        dr = self.dram.access
+        frontend = self.frontend
+        counters = self.counters
+        entry_of = attribution.entry_of
+        entry_count = len(attribution.entry_names)
+        entry_counts = [0] * entry_count
+        # Flat spans as in _run_interpreted: slot 0 is startup, slot
+        # i+1 is entry i.
+        flat_instructions = [0] * (entry_count + 1)
+        flat_cycles = [0] * (entry_count + 1)
+        span_cycles = 0
+        span_instret = 0
+        current = 0      # flat slot of the current entry
+        key_base = 0     # current * size
+        dispatches = defaultdict(int)
+        cycles = 0
+        prev = -1
+
+        while not cpu.halted:
+            index = (cpu.pc - base) >> 2
+            if 0 <= index < size:
+                entry = blocks[index]
+                if entry is None:
+                    entry = table.block_at(index)
+            else:
+                raise IllegalInstruction(
+                    "PC 0x%x outside program" % cpu.pc, pc=cpu.pc)
+            done = cpu.instret
+            if done + entry[1] > max_instructions:
+                entry = table.single_at(index)
+            bytecode = entry_of[index]
+            if bytecode >= 0:
+                flat_cycles[current] += cycles - span_cycles
+                flat_instructions[current] += done - span_instret
+                span_cycles = cycles
+                span_instret = done
+                entry_counts[bytecode] += 1
+                current = bytecode + 1
+                key_base = current * size
+            c, prev = entry[0](cpu, prev, ic, dc, dr, frontend,
+                               counters, icache)
+            cycles += c
+            dispatches[((key_base + index) * span + cpu.instret - done) * 2
+                       + cpu.redirect] += 1
+            if cpu.instret >= max_instructions:
+                raise ExecutionLimitExceeded(
+                    "exceeded %d instructions at PC 0x%x"
+                    % (max_instructions, cpu.pc), pc=cpu.pc)
+
+        flat_cycles[current] += cycles - span_cycles
+        flat_instructions[current] += cpu.instret - span_instret
+        self._finalize(cycles)
+        self._publish_attribution(
+            entry_counts, flat_instructions, flat_cycles,
+            *self._charge_dispatches(dispatches, size, span))
+        return counters
+
+    def _charge_dispatches(self, dispatches, size, span):
+        """Expand the attributed block loop's dispatch tally into
+        ``(bucket_counts, type_hits, type_misses)``.
+
+        Every executed instruction counts toward its bucket.  Every
+        executed tagged-ALU or check op is a type hit of the current
+        entry, except that when the last one executed redirected, it
+        is a miss: a redirect always ends the block, and the block
+        clears ``cpu.redirect`` just before each such op.  Like the
+        reference loop, an int32 overflow trap (a TRT hit that
+        redirects) counts as a miss.
+        """
+        attribution = self.attribution
+        bucket_of = attribution.bucket_of
+        kinds = self._kinds
+        entry_count = len(attribution.entry_names)
+        bucket_counts = [0] * len(attribution.bucket_names)
+        type_hits = [0] * entry_count
+        type_misses = [0] * entry_count
+        for key, times in dispatches.items():
+            key, redirected = divmod(key, 2)
+            key, executed = divmod(key, span)
+            current, start = divmod(key, size)
+            stop = start + executed
+            typed = 0
+            for index in range(start, stop):
+                bucket = bucket_of[index]
+                if bucket >= 0:
+                    bucket_counts[bucket] += times
+                if kinds[index] in _TYPED_KINDS:
+                    typed += 1
+            if typed and current:
+                missed = times if (redirected and kinds[stop - 1]
+                                   in _TYPED_KINDS) else 0
+                type_hits[current - 1] += typed * times - missed
+                type_misses[current - 1] += missed
+        return bucket_counts, type_hits, type_misses
 
     def _run_traces(self, max_instructions):
         """Trace-at-a-time dispatch loop (see :mod:`repro.sim.traces`).
@@ -282,8 +418,10 @@ class Machine:
         return self._finalize(cycles)
 
     def _run_interpreted(self, max_instructions):
-        """Reference per-instruction loop (always used with attribution
-        or telemetry attached)."""
+        """Reference per-instruction loop: the oracle for the faster
+        engines, and the engine for runs with telemetry, a rebound
+        ``cpu.step`` or ``use_blocks=False``.  With attribution it
+        charges every retired instruction to its bucket and entry."""
         cpu = self.cpu
         config = self.config
         latency = config.latency
@@ -464,22 +602,30 @@ class Machine:
 
         self._finalize(cycles)
         if attribution is not None:
-            counters.bucket_instructions = dict(
-                zip(attribution.bucket_names, bucket_counts))
-            counters.bytecode_counts = dict(
-                zip(attribution.entry_names, entry_counts))
-            counters.bytecode_type_hits = dict(
-                zip(attribution.entry_names, entry_type_hits))
-            counters.bytecode_type_misses = dict(
-                zip(attribution.entry_names, entry_type_misses))
-            flat_names = ["(startup)"] + list(entry_names)
-            counters.bytecode_flat_instructions = {
-                name: count for name, count
-                in zip(flat_names, flat_instructions) if count}
-            counters.bytecode_flat_cycles = {
-                name: count for name, count
-                in zip(flat_names, flat_cycles) if count}
+            self._publish_attribution(
+                entry_counts, flat_instructions, flat_cycles,
+                bucket_counts, entry_type_hits, entry_type_misses)
         return counters
+
+    def _publish_attribution(self, entry_counts, flat_instructions,
+                             flat_cycles, bucket_counts, type_hits,
+                             type_misses):
+        """Publish per-bytecode attribution into the counters."""
+        attribution = self.attribution
+        counters = self.counters
+        entry_names = attribution.entry_names
+        counters.bucket_instructions = dict(
+            zip(attribution.bucket_names, bucket_counts))
+        counters.bytecode_counts = dict(zip(entry_names, entry_counts))
+        counters.bytecode_type_hits = dict(zip(entry_names, type_hits))
+        counters.bytecode_type_misses = dict(zip(entry_names, type_misses))
+        flat_names = ["(startup)"] + list(entry_names)
+        counters.bytecode_flat_instructions = {
+            name: count for name, count
+            in zip(flat_names, flat_instructions) if count}
+        counters.bytecode_flat_cycles = {
+            name: count for name, count
+            in zip(flat_names, flat_cycles) if count}
 
     def _finalize(self, cycles):
         """Publish run totals from the model state into the counters."""

@@ -2,10 +2,11 @@
 
 The engine's contract is strict: counters, cycles and architectural
 state must be bit-identical to the reference per-instruction loop for
-every program, and the engine must silently stand aside whenever
-something needs per-instruction visibility.  The differential tests
-here enforce the contract over the full benchmark matrix (at reduced
-input scales); block-shape unit tests pin the discovery rules.
+every program, per-bytecode attribution included, and the engine must
+silently stand aside whenever something needs per-instruction
+visibility.  The differential tests here enforce the contract over the
+full benchmark matrix (at reduced input scales), with attribution off
+and on; block-shape unit tests pin the discovery rules.
 """
 
 import pytest
@@ -13,13 +14,16 @@ import pytest
 from repro.bench.runner import ENGINES, run_benchmark
 from repro.bench.workloads import BENCHMARK_ORDER
 from repro.engines import CONFIGS
+from repro.engines.js import run_js
+from repro.engines.js import vm as js_vm
 from repro.engines.lua import vm as lua_vm
 from repro.isa.assembler import assemble
 from repro.sim.blocks import MAX_BLOCK_LEN, block_table
 from repro.sim.cpu import Cpu
 from repro.sim.errors import ExecutionLimitExceeded
 from repro.sim.memory import Memory
-from repro.uarch.pipeline import DEFAULT_CONFIG, Machine
+from repro.telemetry import Telemetry
+from repro.uarch.pipeline import DEFAULT_CONFIG, Attribution, Machine
 
 
 def _machine(text, **kwargs):
@@ -69,6 +73,46 @@ def test_block_table_shared_per_program_and_config():
         is block_table(program, DEFAULT_CONFIG)
 
 
+_HANDLERS = """
+    addi a0, zero, 3
+loop:
+    addi a1, a1, 1
+    addi a2, a2, 2
+mid:
+    addi a3, a3, 1
+    addi a0, a0, -1
+    bne a0, zero, loop
+    ebreak
+"""
+
+
+def _handler_attribution(program):
+    """Two "handlers" whose entries sit inside one straight-line run."""
+    loop, mid = program.labels["loop"], program.labels["mid"]
+    return Attribution(program, [("LOOP", loop, mid),
+                                 ("MID", mid, program.end)],
+                       {loop: "LOOP", mid: "MID"})
+
+
+def test_entry_points_are_block_leaders():
+    program = assemble(_HANDLERS)
+    table = block_table(program, DEFAULT_CONFIG)
+    assert table.block_at(1)[1] == 6          # loop .. ebreak spans mid
+    attribution = _handler_attribution(program)
+    table.add_leaders(attribution.leaders)
+    assert table.blocks[1] is None            # dropped for recompilation
+    assert table.block_at(1)[1] == 2          # now stops before mid
+    assert table.block_at(3)[1] == 4
+    results = []
+    for use_blocks in (False, True):
+        cpu = Cpu(program, Memory(size=1 << 16))
+        machine = Machine(cpu, attribution=attribution,
+                          use_blocks=use_blocks)
+        results.append(machine.run(max_instructions=1_000).as_dict())
+    assert results[0] == results[1]
+    assert results[1]["bytecode_counts"] == {"LOOP": 3, "MID": 3}
+
+
 def test_single_at_is_one_instruction():
     program = assemble("addi a0, zero, 1\naddi a1, zero, 2\nebreak")
     table = block_table(program, DEFAULT_CONFIG)
@@ -101,10 +145,36 @@ def test_use_blocks_false_falls_back(monkeypatch):
     machine.run(max_instructions=1_000)
 
 
-def test_attribution_forces_interpreter(monkeypatch):
-    attribution = lua_vm.interpreter_program("baseline")[1]
-    _cpu, machine = _machine(_LOOP, attribution=attribution)
+def _attributed(**kwargs):
+    program = assemble(_HANDLERS)
+    cpu = Cpu(program, Memory(size=1 << 16))
+    machine = Machine(cpu, attribution=_handler_attribution(program),
+                      **kwargs)
+    return cpu, machine
+
+
+def test_attribution_runs_on_blocks(monkeypatch):
+    """Attribution is charged per block, so an attributed run takes the
+    block engine, also when traces are enabled."""
+    _cpu, machine = _attributed()
+    monkeypatch.setattr(Machine, "_run_interpreted", _boom)
+    monkeypatch.setattr(Machine, "_run_traces", _boom)
+    counters = machine.run(max_instructions=1_000)
+    assert counters.bytecode_counts == {"LOOP": 3, "MID": 3}
+
+
+@pytest.mark.parametrize("route", ["telemetry", "step", "no-blocks"])
+def test_attributed_runs_needing_each_instruction_use_reference(
+        monkeypatch, route):
+    if route == "telemetry":
+        cpu, machine = _attributed(telemetry=Telemetry())
+    elif route == "step":
+        cpu, machine = _attributed()
+        cpu.step = cpu.step  # an instance shadow, as fault hooks install
+    else:
+        cpu, machine = _attributed(use_blocks=False)
     monkeypatch.setattr(Machine, "_run_blocks", _boom)
+    monkeypatch.setattr(Machine, "_run_traces", _boom)
     machine.run(max_instructions=1_000)
 
 
@@ -174,9 +244,10 @@ def test_thdl_deopt_differential():
 
 
 # -- differential: the full benchmark matrix -------------------------------------
-# Reduced input scales keep the 66-cell sweep tractable in tier-1; the
-# full-scale version is tools/perfbench.py (which asserts the same
-# counter identity on every cell it measures).
+# Reduced input scales keep the 88-cell matrix, run with attribution off
+# and on, tractable in tier-1; the full-scale version is
+# tools/perfbench.py (which asserts the same counter identity on every
+# cell it measures).
 
 _SCALES = {
     "ackermann": 2,
@@ -192,31 +263,39 @@ _SCALES = {
     "spectral-norm": 3,
 }
 
-_CELLS = [(engine, benchmark, config)
+_CELLS = [(engine, benchmark, config, attribute)
+          for attribute in (False, True)
           for engine in ENGINES
           for benchmark in BENCHMARK_ORDER
           for config in CONFIGS]
 
 
 # the arg is named "workload" because pytest-benchmark owns "benchmark"
-@pytest.mark.parametrize(("engine", "workload", "config"), _CELLS,
-                         ids=["%s-%s-%s" % cell for cell in _CELLS])
-def test_differential_benchmark_matrix(engine, workload, config):
+@pytest.mark.parametrize(
+    ("engine", "workload", "config", "attribute"), _CELLS,
+    ids=["%s-%s-%s%s" % (engine, benchmark, config,
+                         "-attributed" if attribute else "")
+         for engine, benchmark, config, attribute in _CELLS])
+def test_differential_benchmark_matrix(engine, workload, config, attribute):
     legacy = run_benchmark(engine, workload, config,
                            scale=_SCALES[workload],
-                           use_cache=False, attribute=False,
+                           use_cache=False, attribute=attribute,
                            use_blocks=False)
     blocks = run_benchmark(engine, workload, config,
                            scale=_SCALES[workload],
-                           use_cache=False, attribute=False,
+                           use_cache=False, attribute=attribute,
                            use_blocks=True)
     assert blocks.output == legacy.output
+    # The full dict: with attribution it includes bucket counts,
+    # bytecode counts, per-entry type hits/misses and flat spans.
     assert blocks.counters.as_dict() == legacy.counters.as_dict()
+    if attribute:
+        assert blocks.counters.bytecode_counts
 
 
 def test_blocks_do_not_perturb_attribution_runs():
-    """An attributed run (which the block engine must refuse) still
-    matches an attribution-free blocks run counter for counter."""
+    """An attributed run still matches an attribution-free blocks run
+    counter for counter."""
     attributed = run_benchmark("lua", "fibo", "typed", scale=8,
                                use_cache=False)
     plain = run_benchmark("lua", "fibo", "typed", scale=8,
@@ -224,3 +303,38 @@ def test_blocks_do_not_perturb_attribution_runs():
     assert attributed.output == plain.output
     assert attributed.counters.cycles == plain.counters.cycles
     assert attributed.counters.instructions == plain.counters.instructions
+
+
+# -- attribution pitfalls ---------------------------------------------------------
+
+def _attributed_pair(source, config):
+    reference = run_js(source, config=config, use_blocks=False)
+    blocks = run_js(source, config=config)
+    assert blocks.output == reference.output
+    assert blocks.counters.as_dict() == reference.counters.as_dict()
+    return blocks.counters
+
+
+def test_attributed_overflow_trap_is_a_type_miss():
+    """An int32 overflow is a TRT hit that redirects; both engines
+    charge it to the bytecode as a type miss."""
+    counters = _attributed_pair(
+        "var a = 2000000000; var s = 0;\n"
+        "for (var i = 0; i < 5; i++) { s = a + a; }\n"
+        "print(s);\n", "typed")
+    assert counters.overflow_traps > 0
+    assert counters.bytecode_type_misses["ADD"] > 0
+
+
+def test_attributed_chklw_cell_matches_reference():
+    """JS chklb guards with ``chklw`` only, which the timing model
+    classes as a plain load: its hits and misses must not shift the
+    attributed type hits and misses."""
+    program = js_vm.interpreter_program("chklb")[0]
+    mnemonics = {i.mnemonic for i in program.instructions}
+    assert "chklw" in mnemonics and "chklb" not in mnemonics
+    counters = _attributed_pair(
+        "var s = 0; var f = 0.5;\n"
+        "for (var i = 0; i < 20; i++) { s = s + i; f = f + i; }\n"
+        "print(s); print(f);\n", "chklb")
+    assert counters.chk_hits > 0 and counters.chk_misses > 0

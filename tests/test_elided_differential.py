@@ -9,7 +9,10 @@ their base opcodes, and host instret never increases (elision only
 ever removes host work).  Hypothesis hunts for counterexamples over
 random expression programs; a workload subset pins the real kernels;
 a cross-engine check asserts the reference loop, the basic-block
-engine and the trace engine agree bit-for-bit on elided builds.
+engine and the trace engine agree bit-for-bit on elided builds, and a
+property asserts attributed reference and block runs agree on every
+counter, per-bytecode attribution included, over the generated
+programs in every config.
 """
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import quickening
 from repro.bench.workloads import workload
+from repro.engines import CONFIGS
 from repro.engines.configs import BASELINE, ELIDED
 from repro.engines.js import run_js
 from repro.engines.lua import run_lua
@@ -195,3 +199,33 @@ def test_elided_blocks_and_traces_bit_identical(engine):
                 == reference.counters.core_instructions)
         assert (other.counters.host_instructions
                 == reference.counters.host_instructions)
+
+
+# -- attribution on the block engine -----------------------------------------------
+
+_LOOP_TEMPLATES = {
+    "lua": ("local acc = %s\n"
+            "for i = 1, %d do acc = acc + %s end\n"
+            "print(acc)\n"),
+    "js": ("var acc = %s;\n"
+           "for (var i = 0; i < %d; i++) { acc = acc + %s; }\n"
+           "print(acc);\n"),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(engine=st.sampled_from(sorted(_RUN)),
+       config=st.sampled_from(sorted(CONFIGS)),
+       case=st.booleans().flatmap(
+           lambda float_style: st.tuples(st.just(float_style),
+                                         _exprs(3, float_style))),
+       trip=st.integers(1, 6))
+def test_attributed_blocks_match_reference(engine, config, case, trip):
+    float_style, expr = case
+    source = _LOOP_TEMPLATES[engine] % ("0.5" if float_style else "0",
+                                        trip, _render(expr))
+    reference = _RUN[engine](source, config=config, use_blocks=False)
+    blocks = _RUN[engine](source, config=config)
+    assert blocks.output == reference.output, source
+    assert blocks.counters.as_dict() == reference.counters.as_dict(), \
+        source

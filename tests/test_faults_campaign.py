@@ -101,20 +101,26 @@ def test_campaign_report_identical_with_compiled_engines_fenced(
         monkeypatch):
     """Every injected run must execute on the per-instruction loop
     (the fault hook's rebound ``step`` forces the deopt): with the
-    trace and block engines made to explode on entry, the campaign
-    still runs — and its report is byte-identical to the unfenced
-    one, so the engines were never what produced the numbers."""
+    trace and block engines made to explode when entered by an
+    injected run, the campaign still runs — and its report is
+    byte-identical to the unfenced one, so the engines were never what
+    produced the injected numbers.  The fault-free goldens are plain
+    attributed runs, which take the block engine."""
     from repro.uarch.pipeline import Machine
 
     reference = run_campaign(max_workers=1, **TINY)
     clear_cache()
 
-    def boom(self, *_args, **_kwargs):  # pragma: no cover - must not run
-        raise AssertionError("compiled engine entered during a "
-                             "fault-injection run")
+    def fence(engine):
+        def run(self, *args, **kwargs):
+            if "step" in self.cpu.__dict__:  # pragma: no cover
+                raise AssertionError("compiled engine entered during a "
+                                     "fault-injection run")
+            return engine(self, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(Machine, "_run_traces", boom)
-    monkeypatch.setattr(Machine, "_run_blocks", boom)
+    monkeypatch.setattr(Machine, "_run_traces", fence(Machine._run_traces))
+    monkeypatch.setattr(Machine, "_run_blocks", fence(Machine._run_blocks))
     fenced = run_campaign(max_workers=1, **TINY)
     assert json.dumps(fenced, sort_keys=True) \
         == json.dumps(reference, sort_keys=True)

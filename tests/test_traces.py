@@ -12,11 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engines.lua import run_lua
+from repro.engines.lua import vm as lua_vm
 from repro.isa.assembler import assemble
 from repro.sim.cpu import Cpu
 from repro.sim.errors import ExecutionLimitExceeded
 from repro.sim.memory import Memory
+from repro.sim import traces
 from repro.sim.traces import (
+    MAX_TRACE_WORKLOADS,
     TRACE_EVAL_WINDOW,
     TRACE_THRESHOLD,
     trace_table,
@@ -105,6 +109,23 @@ def test_trace_tables_keyed_per_workload():
     assert trace_table(program, DEFAULT_CONFIG, workload="guest-a") is a
     # The expensive predecode layer underneath stays shared.
     assert a.blocks is b.blocks is shared.blocks
+
+
+def test_trace_tables_bounded_per_program_and_config():
+    """Only the most recently run workloads keep a trace table; an
+    evicted workload reruns on a fresh one with identical counters."""
+    sources = ["local s = 0\nfor i = 1, %d do s = s + i end\nprint(s)\n"
+               % (40 + k) for k in range(MAX_TRACE_WORKLOADS + 1)]
+    runs = [run_lua(source, config="typed", attribute=False)
+            for source in sources]
+    program = lua_vm.interpreter_program("typed")[0]
+    tables = traces._TABLES[program][DEFAULT_CONFIG]
+    assert len(tables) <= MAX_TRACE_WORKLOADS
+    assert sources[0] not in tables and sources[-1] in tables
+    assert tables[sources[-1]].traces > 0
+    again = run_lua(sources[0], config="typed", attribute=False)
+    assert again.output == runs[0].output
+    assert again.counters.as_dict() == runs[0].counters.as_dict()
 
 
 def test_trace_counters_identical_on_hot_loop():

@@ -8,12 +8,15 @@ superinstruction engine (``use_traces=False``), and the superblock
 trace engine — and reports host wall-clock, simulated MIPS and the
 per-cell speedups plus overall and per-config geometric means,
 verifying along the way that all three engines produced bit-identical
-counters and output.
+counters and output.  ``--smoke`` additionally runs each cell with
+attribution on, on the reference loop and on the block engine, and
+requires those two to agree on every counter too (per-bytecode
+attribution included); those runs are checked, not timed.
 
 Writes ``BENCH_simperf.json`` (override with ``--out``), stamped with
 the package schema version and the ``simperf`` artifact kind
 (:mod:`repro.schema`), so the perf trajectory of the simulator itself
-is trackable run over run; CI runs ``--smoke`` (a pinned 6-cell
+is trackable run over run; CI runs ``--smoke`` (a pinned 7-cell
 subset — deliberately *not* derived from the live registry, which can
 grow) and uploads the JSON as an artifact.
 
@@ -60,11 +63,13 @@ ENGINE_MODES = (
 #: --smoke subset: small scales, both guest engines, a typed and a
 #: baseline config each — a pinned, explicit list so CI timing stays
 #: put even as the config registry grows (it has doubled once
-#: already).
+#: already).  n-body mixes ints and floats: it is the one cell whose
+#: attributed runs charge per-bytecode type misses.
 SMOKE_CELLS = [
     ("lua", "fibo", "baseline", 8),
     ("lua", "fibo", "typed", 8),
     ("lua", "n-sieve", "typed", 200),
+    ("lua", "n-body", "typed", 2),
     ("js", "fibo", "baseline", 8),
     ("js", "fibo", "typed", 8),
     ("js", "n-sieve", "typed", 200),
@@ -94,7 +99,19 @@ MAX_WARM_RUNS = 3
 WARM_CONVERGED = 0.85
 
 
-def _measure_cell(engine, benchmark, config, scale):
+def _attributed_identical(engine, benchmark, config, scale):
+    """Whether the attributed reference-loop and block-engine runs of
+    one cell give identical counters (attribution included) and
+    output."""
+    reference, blocks = (
+        run_benchmark(engine, benchmark, config, scale=scale,
+                      use_cache=False, use_blocks=use_blocks)
+        for use_blocks in (False, True))
+    return (blocks.counters.as_dict() == reference.counters.as_dict()
+            and blocks.output == reference.output)
+
+
+def _measure_cell(engine, benchmark, config, scale, attributed=False):
     """Warm then run one cell under every engine mode.
 
     The warm passes (JIT-backed engines only — the reference loop
@@ -103,7 +120,9 @@ def _measure_cell(engine, benchmark, config, scale):
     trace engine warms until converged: profile-driven formation
     keeps adapting (retiring unprofitable traces, recording the paths
     hot in later workload phases) for a run or two before its table
-    reaches a fixed point.
+    reaches a fixed point.  With ``attributed`` the cell's
+    ``identical`` flag also covers the attributed engine pair (see
+    :func:`_attributed_identical`).
     """
     runs = {}
     run_benchmark(engine, benchmark, config, scale=scale,
@@ -126,6 +145,9 @@ def _measure_cell(engine, benchmark, config, scale):
         run.counters.as_dict() == reference.counters.as_dict()
         and run.output == reference.output
         for run in runs.values())
+    if attributed:
+        identical = identical and _attributed_identical(
+            engine, benchmark, config, scale)
     row = {
         "engine": engine,
         "benchmark": benchmark,
@@ -146,10 +168,10 @@ def _measure_cell(engine, benchmark, config, scale):
     return row
 
 
-def measure(cells, echo=print):
+def measure(cells, echo=print, attributed=False):
     results = []
     for index, (engine, benchmark, config, scale) in enumerate(cells):
-        row = _measure_cell(engine, benchmark, config, scale)
+        row = _measure_cell(engine, benchmark, config, scale, attributed)
         results.append(row)
         echo("[%3d/%d] %-3s %-15s %-12s  %6.2fs -> %6.2fs -> %6.2fs  "
              "blocks %5.2fx traces %5.2fx (vs blocks %5.2fx)  %s"
@@ -244,8 +266,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="reference vs block vs trace simulator benchmark")
     parser.add_argument("--smoke", action="store_true",
-                        help="pinned 6-cell subset for CI (seconds, "
-                             "not minutes)")
+                        help="pinned 7-cell subset for CI (seconds, "
+                             "not minutes), with an attributed "
+                             "reference/blocks counter check per cell")
     parser.add_argument("--configs", metavar="A,B,..",
                         help="comma-separated config subset for the "
                              "full sweep (default: every registered "
@@ -284,9 +307,11 @@ def main(argv=None):
 
     cells = SMOKE_CELLS if args.smoke else full_cells(selected)
     print("perfbench: %d cells (%s mode), warm + 3-engine measure per "
-          "cell..." % (len(cells), "smoke" if args.smoke else "full"))
+          "cell%s..." % (len(cells), "smoke" if args.smoke else "full",
+                         " + attributed reference/blocks check"
+                         if args.smoke else ""))
     started = time.time()
-    results = measure(cells)
+    results = measure(cells, attributed=args.smoke)
     summary = aggregate(results)
 
     payload = schema.artifact(ARTIFACT_KIND, {
