@@ -56,6 +56,8 @@ TRACE_THRESHOLD = 16
 #: Trace tables kept per ``(program, config)``: the tables of the most
 #: recently run workloads.  A process that runs many distinct guest
 #: sources would otherwise keep every source's compiled traces alive.
+#: The bound trades memory for recompilation: a rerun of an evicted
+#: source pays trace formation again, as much as its cold run.
 MAX_TRACE_WORKLOADS = 4
 
 #: Recording stops after this many chained blocks even without closing

@@ -99,31 +99,54 @@ def test_campaign_report_shape():
 
 def test_campaign_report_identical_with_compiled_engines_fenced(
         monkeypatch):
-    """Every injected run must execute on the per-instruction loop
-    (the fault hook's rebound ``step`` forces the deopt): with the
-    trace and block engines made to explode when entered by an
-    injected run, the campaign still runs — and its report is
-    byte-identical to the unfenced one, so the engines were never what
-    produced the injected numbers.  The fault-free goldens are plain
-    attributed runs, which take the block engine."""
+    """Every injected run must execute on the per-instruction loop.
+
+    Injected runs are marked where the fault hook attaches, not by the
+    condition ``Machine.run`` routes on, so the fence checks the
+    contract rather than the routing: with the trace and block engines
+    made to explode when entered by a marked CPU, the campaign still
+    runs, every injection reaches the reference loop exactly once, and
+    the report is byte-identical to the unfenced one — the engines were
+    never what produced the injected numbers.  The fault-free goldens
+    are plain attributed runs, which take the block engine."""
+    from repro.sim.cpu import Cpu
     from repro.uarch.pipeline import Machine
 
     reference = run_campaign(max_workers=1, **TINY)
     clear_cache()
 
+    attach = Cpu.attach_fault_hook
+
+    def marked_attach(cpu, hook):
+        cpu._fault_fenced = True
+        return attach(cpu, hook)
+
     def fence(engine):
         def run(self, *args, **kwargs):
-            if "step" in self.cpu.__dict__:  # pragma: no cover
+            if getattr(self.cpu, "_fault_fenced", False):  # pragma: no cover
                 raise AssertionError("compiled engine entered during a "
                                      "fault-injection run")
             return engine(self, *args, **kwargs)
         return run
 
+    injected_runs = []
+    interpreted = Machine._run_interpreted
+
+    def counted(self, *args, **kwargs):
+        if getattr(self.cpu, "_fault_fenced", False):
+            injected_runs.append(self.cpu)
+        return interpreted(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cpu, "attach_fault_hook", marked_attach)
     monkeypatch.setattr(Machine, "_run_traces", fence(Machine._run_traces))
     monkeypatch.setattr(Machine, "_run_blocks", fence(Machine._run_blocks))
+    monkeypatch.setattr(Machine, "_run_interpreted", counted)
     fenced = run_campaign(max_workers=1, **TINY)
     assert json.dumps(fenced, sort_keys=True) \
         == json.dumps(reference, sort_keys=True)
+    injections = sum(len(cell["injections"]) for cell in fenced["cells"])
+    assert injections > 0
+    assert len(injected_runs) == injections
 
 
 def test_campaign_same_plan_across_configs():
